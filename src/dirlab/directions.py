@@ -4,6 +4,11 @@ Censuses are exact (keys from canonical_direction semantics); coverage
 grids quantize the sphere through a cube-face chart at a caller-chosen
 cell pitch.  Heavy paths run chunked through numpy; results are identical
 to the scalar definitions because keys are integers before deduplication.
+
+Both read pair differences from geometry._pair_differences: each distinct
+difference once with its pair count on a Cartesian-product support with
+fewer distinct differences than pairs, every pair otherwise.  Keys, cells
+and hit counts are identical on both paths.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -20,11 +24,10 @@ from .geometry import (
     DIRECTION_RESOLUTION,
     DirectionKey,
     PointSet,
+    _group_sums,
+    _pair_differences,
     collinearity_rank,
 )
-
-# Target element count for one pair-difference block.
-_PAIR_BLOCK = 300_000
 
 
 @dataclass(frozen=True)
@@ -39,19 +42,6 @@ class DirectionCensus:
     @property
     def count(self) -> int:
         return len(self.keys)
-
-
-def _pair_diff_chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """Blocks of x_j - x_i over all index pairs i < j, in (i, j) order."""
-    n = len(arr)
-    rows = max(1, _PAIR_BLOCK // max(1, n))
-    cols = np.arange(n)
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        block = arr[i0:i1]
-        diffs = arr[None, :, :] - block[:, None, :]
-        mask = cols[None, :] > np.arange(i0, i1)[:, None]
-        yield diffs[mask]
 
 
 def _first_nonzero_sign(rows: np.ndarray) -> np.ndarray:
@@ -107,45 +97,28 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     if P.mode == "exact" and scaled is None:
         return _census_fraction_fallback(P, antipodal)
 
-    d = P.dimension
-    if scaled is not None:
-        arr = scaled[0]
+    exact = scaled is not None
+    arr = scaled[0] if exact else P.as_array()
 
-        def _int_chunks():
-            for diffs in _pair_diff_chunks(arr):
-                g = np.gcd.reduce(np.abs(diffs), axis=1)
-                prim = diffs // g[:, None]
-                if antipodal:
-                    yield _flip_to_canonical(prim)
-                else:
-                    yield np.vstack([prim, -prim])
-
-        bound = max(1, 2 * int(np.abs(arr).max()))
-        rows = _unique_rows(_int_chunks(), bound, d)
-        keys = frozenset(
-            DirectionKey(rep=tuple(int(v) for v in row), antipodal_identified=antipodal, exact=True)
-            for row in rows
-        )
-    else:
-        arr = P.as_array()
-
-        def _quantized_chunks():
-            for diffs in _pair_diff_chunks(arr):
-                norms = np.sqrt((diffs * diffs).sum(axis=1))
-                unit = diffs / norms[:, None]
+    def _key_chunks():
+        # primitive integer vectors for exact sets, quantized unit vectors for floats
+        for diffs, _ in _pair_differences(arr):
+            if exact:
+                q = diffs // np.gcd.reduce(np.abs(diffs), axis=1)[:, None]
+            else:
+                unit = diffs / np.sqrt((diffs * diffs).sum(axis=1))[:, None]
                 q = np.rint(unit / DIRECTION_RESOLUTION).astype(np.int64)
-                if antipodal:
-                    yield _flip_to_canonical(q)
-                else:
-                    yield np.vstack([q, -q])
+            yield _flip_to_canonical(q) if antipodal else np.vstack([q, -q])
 
-        bound = int(round(1 / DIRECTION_RESOLUTION)) + 2
-        rows = _unique_rows(_quantized_chunks(), bound, d)
-        reps = rows * DIRECTION_RESOLUTION
-        keys = frozenset(
-            DirectionKey(rep=tuple(float(v) for v in row), antipodal_identified=antipodal, exact=False)
-            for row in reps
-        )
+    if exact:
+        bound, scale, cast = max(1, 2 * int(np.abs(arr).max())), 1, int
+    else:
+        bound, scale, cast = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION, float
+    rows = _unique_rows(_key_chunks(), bound, P.dimension)
+    keys = frozenset(
+        DirectionKey(rep=tuple(cast(v) for v in row), antipodal_identified=antipodal, exact=exact)
+        for row in rows * scale
+    )
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     return DirectionCensus(keys=keys, antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs)
 
@@ -287,26 +260,25 @@ def sphere_coverage_sweep(
         for total in totals
     ]
 
-    arr = P.as_array()
-    for diffs in _pair_diff_chunks(arr):
+    for diffs, mult in _pair_differences(P.as_array()):
         norms = np.sqrt((diffs * diffs).sum(axis=1))
         unit = diffs / norms[:, None]
         if antipodal:
             unit = _flip_to_canonical(unit)
         else:
             unit = np.vstack([unit, -unit])
+            mult = np.concatenate([mult, mult])
         face, other = _face_decompose(unit)
         shifted = other + 1.0
-        for eps, m, total, acc in zip(eps_list, sides, totals, accums):
+        for eps, m, acc in zip(eps_list, sides, accums):
             idx = np.clip((shifted / eps).astype(np.int64), 0, m - 1)
             code = face.astype(np.int64)
             for j in range(d - 1):
                 code = code * m + idx[:, j]
             if isinstance(acc, Counter):
-                values, counts = np.unique(code, return_counts=True)
-                acc.update(dict(zip(values.tolist(), counts.tolist())))
+                acc.update(_group_sums(code, mult))
             else:
-                acc += np.bincount(code, minlength=total)
+                np.add.at(acc, code, mult)
 
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     grids = []

@@ -302,7 +302,7 @@ def run_slope_band(
     envelope_reached = report.band_constant is not None and report.band_constant >= 1.0
     fit_permitted = fit_clean and envelope_reached
     if fit_permitted:
-        verdicts["deviation_exponent"] = {
+        verdicts["exponent"] = {
             "passed": abs(report.deviation_exponent - report.exponent_predicted)
             <= exponent_tolerance,
             "observed": float(report.deviation_exponent),

@@ -168,6 +168,87 @@ class PointSet:
         return self._scaled
 
 
+# Target row count for one block of pair differences.
+_PAIR_BLOCK = 300_000
+
+
+def _is_product_support(arr: np.ndarray) -> bool:
+    count = 1
+    for k in range(arr.shape[1]):
+        count *= len(np.unique(arr[:, k]))
+        if count > len(arr):
+            return False
+    return count == len(arr)
+
+
+def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
+    """Sorted distinct differences a - b over distinct values a in v1, b in v2,
+    with their pair counts; memory scales with the distinct values, never
+    with the full pair count."""
+    return np.unique(np.subtract.outer(v1, v2), return_counts=True)
+
+
+def _pair_loop(arr: np.ndarray, weights: np.ndarray | None):
+    """Blocks of (x_j - x_i, multiplicity) over all index pairs i < j, in (i, j) order."""
+    n = len(arr)
+    rows = max(1, _PAIR_BLOCK // max(1, n))
+    cols = np.arange(n)
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        mask = cols[None, :] > np.arange(i0, i1)[:, None]
+        diffs = (arr[None, :, :] - arr[i0:i1, None, :])[mask]
+        if weights is None:
+            yield diffs, np.ones(len(diffs), dtype=np.int64)
+        else:
+            yield diffs, (weights[i0:i1, None] * weights[None, :])[mask]
+
+
+def _product_differences(hists: list):
+    """Distinct differences with first nonzero entry positive, of a product set."""
+    d = len(hists)
+    for k in range(d):
+        # zero on the axes before k, positive on axis k, anything after
+        v, c = hists[k]
+        factors = [(w[w == 0], m[w == 0]) for w, m in hists[:k]]
+        factors += [(v[v > 0], c[v > 0])] + hists[k + 1 :]
+        total = math.prod(len(v) for v, _ in factors)
+        for t0 in range(0, total, _PAIR_BLOCK):
+            rem = np.arange(t0, min(t0 + _PAIR_BLOCK, total))
+            rows = np.empty((len(rem), d), dtype=hists[0][0].dtype)
+            mult = np.ones(len(rem), dtype=np.int64)
+            for j in range(d - 1, -1, -1):
+                v, c = factors[j]
+                rem, idx = np.divmod(rem, len(v))
+                rows[:, j] = v[idx]
+                mult *= c[idx]
+            yield rows, mult
+
+
+def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
+    """Blocks of (difference rows, multiplicity) with one row per unordered pair.
+
+    A pair {x, y} gives x - y or y - x, with multiplicity 1 (int64) or
+    weights[x] * weights[y].  An unweighted product support with fewer
+    distinct differences than pairs gives each distinct difference once
+    instead, first nonzero entry positive, with its pair count.  Entries are
+    a - b of the same axis values either way, so the rows are bit-identical.
+    """
+    n, d = arr.shape
+    if weights is None and _is_product_support(arr):
+        hists = [_cross_diff_histogram(a, a) for a in (np.unique(arr[:, k]) for k in range(d))]
+        if math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
+            return _product_differences(hists)
+    return _pair_loop(arr, weights)
+
+
+def _group_sums(keys: np.ndarray, mult: np.ndarray) -> dict:
+    """{key: summed multiplicity} over one block, exact in the dtype of mult."""
+    values, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(values), dtype=mult.dtype)
+    np.add.at(sums, inverse, mult)
+    return dict(zip(values.tolist(), sums.tolist()))
+
+
 @dataclass(frozen=True, slots=True)
 class DirectionKey:
     """Canonical key for the direction spanned by an ordered point pair.

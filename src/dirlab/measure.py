@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import PointSet
-
-_PAIR_BLOCK = 400_000
+from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _group_sums
+from .geometry import _is_product_support, _pair_differences
 
 
 @dataclass
@@ -33,12 +33,18 @@ class WeightedPointSet:
     base: PointSet
     masses: tuple
     thickening_radius: float | None = None
+    uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.masses) != len(self.base):
             raise PreconditionFailed("one mass per atom required")
-        exact = all(isinstance(m, (int, Fraction)) for m in self.masses)
-        for m in self.masses:
+        # tuple.count tests identity first, so a shared mass is never hashed
+        self.uniform = self.masses.count(self.masses[0]) == len(self.masses)
+        distinct = self.masses[:1] if self.uniform else self.masses
+        exact = all(isinstance(m, (int, Fraction)) for m in distinct)
+        if not exact and not all(math.isfinite(m) for m in distinct):
+            raise PreconditionFailed("masses must be finite")
+        for m in distinct:
             if m < 0:
                 raise PreconditionFailed("masses must be nonnegative")
         total = self.total_mass()
@@ -49,7 +55,7 @@ class WeightedPointSet:
             raise PreconditionFailed(f"masses sum to {total!r}, not 1")
 
     def total_mass(self):
-        if len(set(self.masses)) == 1:
+        if self.uniform:
             return self.masses[0] * len(self.masses)
         return sum(self.masses)
 
@@ -133,29 +139,31 @@ def energy_integral(mu: WeightedPointSet, s):
         and s_int is not None
         and s_int % 2 == 0
     ):
-        half = s_int // 2
-        pts = mu.base.points
-        total = Fraction(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r2 = sum((a - b) ** 2 for a, b in zip(pts[i], pts[j]))
-                total += Fraction(mu.masses[i]) * Fraction(mu.masses[j]) / r2**half
-        return 2 * total
+        # Integers over the common denominator, as Python ints or Fractions
+        # where |x - y|^2 could overflow int64.
+        arr, denom = mu.base.scaled_integer() or (np.array(mu.base.points, dtype=object), 1)
+        if 4 * mu.base.dimension * int(np.abs(arr).max()) ** 2 >= 1 << 63:
+            arr = arr.astype(object)
+        # Non-uniform masses enter as integer numerators over their common
+        # denominator, so every pair weight stays an exact integer.
+        if mu.uniform:
+            weights, scale = None, Fraction(mu.masses[0]) ** 2
+        else:
+            common = math.lcm(*(Fraction(m).denominator for m in mu.masses))
+            weights = np.array([int(m * common) for m in mu.masses], dtype=object)
+            scale = Fraction(1, common * common)
+        grouped = Counter()
+        for diffs, mult in _pair_differences(arr, weights):
+            grouped.update(_group_sums((diffs * diffs).sum(axis=1), mult))
+        total = sum(Fraction(weight) / r2 ** (s_int // 2) for r2, weight in grouped.items())
+        return 2 * scale * denom**s_int * total
 
-    arr = mu.base.as_array()
-    w = mu.mass_array()
+    weights = None if mu.uniform else mu.mass_array()
     exponent = -float(s) / 2.0
     total = 0.0
-    rows = max(1, _PAIR_BLOCK // max(1, n))
-    cols = np.arange(n)
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        diffs = arr[None, :, :] - arr[i0:i1, None, :]
-        mask = cols[None, :] > np.arange(i0, i1)[:, None]
-        r2 = (diffs * diffs).sum(axis=2)[mask]
-        wp = (w[i0:i1, None] * w[None, :])[mask]
-        total += float((wp * r2**exponent).sum())
-    return 2.0 * total
+    for diffs, mult in _pair_differences(mu.base.as_array(), weights):
+        total += float((mult * (diffs * diffs).sum(axis=1) ** exponent).sum())
+    return 2.0 * total * (float(mu.masses[0]) ** 2 if mu.uniform else 1.0)
 
 
 @dataclass(frozen=True)
@@ -265,9 +273,9 @@ def _child_assignment(points, mode, origin, side):
     return out
 
 
-def _normalized_piece(points, masses, mode, total) -> WeightedPointSet:
+def _normalized_piece(points, masses, mode, total, parent) -> WeightedPointSet:
     if isinstance(total, Fraction):
-        if len(set(masses)) == 1:
+        if parent.uniform:
             scaled = (Fraction(masses[0]) / total,) * len(masses)
         else:
             scaled = tuple(Fraction(m) / total for m in masses)
@@ -353,8 +361,8 @@ def stopping_time_split(
             piece_masses_b = [masses[i] for i in codes[b]]
             return CubeSplit(
                 pieces=(
-                    _normalized_piece(piece_points_a, piece_masses_a, mode, child_mass[a]),
-                    _normalized_piece(piece_points_b, piece_masses_b, mode, child_mass[b]),
+                    _normalized_piece(piece_points_a, piece_masses_a, mode, child_mass[a], mu),
+                    _normalized_piece(piece_points_b, piece_masses_b, mode, child_mass[b], mu),
                 ),
                 piece_masses=(child_mass[a], child_mass[b]),
                 level=level,
@@ -476,35 +484,17 @@ def _min_cross_gap(vals1: np.ndarray, vals2: np.ndarray) -> float:
     return best
 
 
-def _is_product_support(arr: np.ndarray) -> bool:
-    count = 1
-    for k in range(arr.shape[1]):
-        count *= len(np.unique(arr[:, k]))
-        if count > len(arr):
-            return False
-    return count == len(arr)
-
-
-def _cross_diff_histogram(col1: np.ndarray, col2: np.ndarray):
-    """Distinct cross differences x - y, with pair multiplicities.
-
-    Works on distinct column values and their counts, so memory scales
-    with (distinct values)^2, never with the full pair count.
-    """
-    v1, m1 = np.unique(col1, return_counts=True)
-    v2, m2 = np.unique(col2, return_counts=True)
-    diffs = (v1[:, None] - v2[None, :]).ravel()
-    weights = (m1[:, None] * m2[None, :]).ravel().astype(np.float64)
-    values, inverse = np.unique(diffs, return_inverse=True)
-    counts = np.bincount(inverse, weights=weights)
-    return values, counts
-
-
 def _axis_pair_table(col1: np.ndarray, col2: np.ndarray):
     """Sorted distinct cross differences with cumulative pair counts."""
     values, counts = _cross_diff_histogram(col1, col2)
     prefix = np.concatenate([[0.0], np.cumsum(counts)])
     return values, prefix
+
+
+def _scaled_window(a, lo, hi):
+    """Bounds a*[lo, hi] per denominator a of either sign, one row per a."""
+    a = a[:, None]
+    return np.where(a > 0, a * lo, a * hi), np.where(a > 0, a * hi, a * lo)
 
 
 def _interval_counts(values, prefix, lo, hi):
@@ -539,13 +529,11 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray:
     for a0 in range(0, len(den_vals), chunk):
         a = den_vals[a0 : a0 + chunk]
         cnt = den_counts[a0 : a0 + chunk].astype(np.float64)
-        factors = []
-        for values, prefix in tables:
-            lo_eff = np.where(a[:, None] > 0, a[:, None] * lo[None, :], a[:, None] * hi[None, :])
-            hi_eff = np.where(a[:, None] > 0, a[:, None] * hi[None, :], a[:, None] * lo[None, :])
-            factors.append(
-                _interval_counts(values, prefix, lo_eff, hi_eff).astype(np.float64)
-            )
+        lo_eff, hi_eff = _scaled_window(a, lo, hi)
+        factors = [
+            _interval_counts(values, prefix, lo_eff, hi_eff).astype(np.float64)
+            for values, prefix in tables
+        ]
         total += np.einsum(spec, cnt, *factors)
     return total * w
 
@@ -567,9 +555,7 @@ def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
         block = arr1[i0 : i0 + rows]
         diffs = (block[:, None, :] - arr2[None, :, :]).reshape(-1, d)
         wp = (w1[i0 : i0 + rows, None] * w2[None, :]).ravel()
-        a = diffs[:, -1]
-        lo_eff = np.where(a[:, None] > 0, a[:, None] * lo[None, :], a[:, None] * hi[None, :])
-        hi_eff = np.where(a[:, None] > 0, a[:, None] * hi[None, :], a[:, None] * lo[None, :])
+        lo_eff, hi_eff = _scaled_window(diffs[:, -1], lo, hi)
         factors = [
             (diffs[:, i][:, None] >= lo_eff) & (diffs[:, i][:, None] <= hi_eff)
             for i in range(d - 1)
@@ -582,9 +568,9 @@ def _window_mass(mu1, mu2, lo, hi) -> np.ndarray:
     d = mu1.base.dimension
     if d - 1 not in _EINSUM:
         raise PreconditionFailed("slope densities support dimensions 2 through 4")
-    uniform = len(set(mu1.masses)) == 1 and len(set(mu2.masses)) == 1
     if (
-        uniform
+        mu1.uniform
+        and mu2.uniform
         and len(mu1) * len(mu2) >= 250_000
         and _is_product_support(mu1.base.as_array())
         and _is_product_support(mu2.base.as_array())

@@ -9,10 +9,15 @@ comparisons so no float division ever enters the expected values.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from hypothesis import HealthCheck, settings
+import pytest
+from hypothesis import HealthCheck, assume, settings
+from hypothesis import strategies as st
+
+from dirlab import PointSet, geometry
 
 settings.register_profile(
     "suite",
@@ -158,3 +163,47 @@ def min_pairwise_gap(vectors):
             if best is None or gap < best:
                 best = gap
     return best
+
+
+@st.composite
+def product_point_sets(draw, max_axis=8, modes=("exact", "float")):
+    """Cartesian products of 1..max_axis rationals k/den per axis.
+
+    den <= 24, d in {2, 3}, one of the given modes, at least two points.
+    """
+    d = draw(st.sampled_from((2, 3)))
+    den = draw(st.integers(1, 24))
+    axes = [
+        draw(st.lists(st.integers(-den, den), min_size=1, max_size=max_axis, unique=True))
+        for _ in range(d)
+    ]
+    pts = [tuple(Fraction(k, den) for k in p) for p in itertools.product(*axes)]
+    assume(len(pts) >= 2)
+    return PointSet.from_points(pts, mode=draw(st.sampled_from(modes)))
+
+
+class PairLoopCalled(Exception):
+    pass
+
+
+def refuse_pair_loop(arr, weights):
+    raise PairLoopCalled
+
+
+def on_both_paths(fn, P):
+    """(fn(P) on the product difference path, fn(P) on the pair loop).
+
+    The first run fails if the pair loop starts.  A set whose distinct
+    differences are not fewer than its pairs never takes the product
+    path, so it is discarded.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_pair_loop", refuse_pair_loop)
+        try:
+            product = fn(P)
+        except PairLoopCalled:
+            assume(False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_is_product_support", lambda arr: False)
+        pair = fn(P)
+    return product, pair

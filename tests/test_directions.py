@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from conftest import (
     key_to_oracle_form,
     min_pairwise_gap,
+    on_both_paths,
     oracle_census,
+    product_point_sets,
     random_rational_points,
+    refuse_pair_loop,
 )
 from dirlab import (
+    geometry,
     LatticeSpec,
     PointSet,
     PreconditionFailed,
@@ -122,6 +126,38 @@ class TestDistinctDirections:
         assert anti.n_pairs == n * (n - 1) // 2
         assert signed.n_pairs == n * (n - 1)
         assert anti.count <= anti.n_pairs
+
+
+class TestProductDifferencePath:
+    """The product-support difference path against the pair loop."""
+
+    @given(product_point_sets())
+    def test_census_keys_agree(self, ps):
+        for antipodal in (True, False):
+            product, pair = on_both_paths(lambda P: distinct_directions(P, antipodal), ps)
+            assert product == pair
+
+    @given(product_point_sets())
+    def test_coverage_cells_agree(self, ps):
+        for antipodal in (True, False):
+            product, pair = on_both_paths(
+                lambda P: sphere_coverage_sweep(P, [0.5, 0.1, 0.03, 0.007], antipodal), ps
+            )
+            assert [g.cells for g in product] == [g.cells for g in pair]
+            assert all(sum(g.cells.values()) == g.n_pairs for g in product)
+
+    def test_lattice_never_starts_the_pair_loop(self, monkeypatch):
+        from dirlab import energy_integral, uniform_weights
+
+        ps = lattice_set(LatticeSpec(q=20, d=2))
+        monkeypatch.setattr(geometry, "_pair_loop", refuse_pair_loop)
+        for antipodal in (True, False):
+            assert distinct_directions(ps, antipodal).count > 0
+            (grid,) = sphere_coverage_sweep(ps, [0.05], antipodal)
+            assert sum(grid.cells.values()) == grid.n_pairs
+        mu = uniform_weights(ps)
+        assert energy_integral(mu, 2) > 0
+        assert energy_integral(mu, 1.5) > 0
 
 
 class TestPrimitiveCount:

@@ -19,7 +19,10 @@ from dirlab import (
     run_slope_band,
     write_reports,
 )
+from dirlab import experiments
 from dirlab.experiments import ExperimentReport
+from dirlab.fitting import FitResult
+from dirlab.measure import SlopeBandReport
 
 CANTOR_S = 2 * math.log(3) / math.log(4)
 
@@ -115,6 +118,35 @@ class TestSlopeBand:
         assert report.series["exponent_fit_note"] != "evaluated"
         assert "exponent" not in report.verdicts
         assert report.parameters["s"] == pytest.approx(CANTOR_S)
+
+    @pytest.mark.parametrize("offset, passed", [(0.3, True), (0.7, False)])
+    def test_exponent_verdict_when_fit_permitted(self, monkeypatch, offset, passed):
+        def clean_fit_sweep(mu, s, eps_list, c=None):
+            slope = s - 1 + offset
+            return SlopeBandReport(
+                epsilons=[0.125, 0.0625, 0.03125, 0.015625],
+                integrals=[1.2, 1.1, 1.05, 1.0],
+                reference_level=1.0,
+                band_constant=2.0,
+                deviation_exponent=slope,
+                exponent_predicted=s - 1,
+                fit=FitResult(slope=slope, intercept=0.0, r_squared=0.99, n_points=3),
+                chart_mass=0.5,
+                split_level=1,
+                denominator_gap=0.25,
+            )
+
+        monkeypatch.setattr(experiments, "slope_band_sweep", clean_fit_sweep)
+        report = run_slope_band(2, 3, Fraction(1, 4), 2, [2.0**-k for k in range(3, 7)])
+        assert report.series["exponent_fit_permitted"] is True
+        assert report.series["exponent_fit_note"] == "evaluated"
+        verdict = report.verdicts["exponent"]
+        assert set(verdict) == {"passed", "observed", "expected", "tolerance"}
+        assert verdict["observed"] == pytest.approx(CANTOR_S - 1 + offset)
+        assert verdict["expected"] == pytest.approx(CANTOR_S - 1)
+        assert verdict["passed"] is passed
+        assert report.verdicts["band"]["passed"]
+        assert report.passed() is passed
 
 
 class TestReportPlumbing:

@@ -1,5 +1,6 @@
 """Weighted measures, energies, cube splits, and slope densities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,8 @@ from conftest import (
     brute_chart_mass,
     brute_energy,
     brute_window_masses,
+    on_both_paths,
+    product_point_sets,
     random_rational_points,
 )
 from dirlab import (
@@ -80,6 +83,26 @@ class TestWeightedPointSet:
         assert mu.masses == (Fraction(1, 9),) * 9
         assert mu.total_mass() == 1
         assert mu.thickening_radius is None
+
+    def test_uniform_flag(self):
+        ps = PointSet.from_points([(0, 0), (1, 1), (2, 0)])
+        assert uniform_weights(ps).uniform
+        assert WeightedPointSet(base=ps, masses=(Fraction(1, 3), Fraction(2, 6), Fraction(1, 3))).uniform
+        assert not WeightedPointSet(base=ps, masses=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))).uniform
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (math.nan,) * 3,
+            (float("nan"), float("nan"), float("nan")),
+            (math.inf, 0.0, 0.0),
+            (0.5, 0.5, math.nan),
+        ],
+    )
+    def test_non_finite_masses_rejected(self, masses):
+        ps = PointSet.from_points([(0, 0), (1, 1), (2, 0)])
+        with pytest.raises(PreconditionFailed):
+            WeightedPointSet(base=ps, masses=masses)
 
     def test_uniform_weights_radius(self):
         mu = uniform_weights(lattice_set(LatticeSpec(q=2, d=2)), s=1.5)
@@ -176,6 +199,48 @@ class TestEnergyIntegral:
         mu = uniform_weights(PointSet.from_points(pts))
         values = [energy_integral(mu, s) for s in (0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+class TestEnergyPaths:
+    """Energies on the product difference path against the pair loop."""
+
+    @given(product_point_sets())
+    def test_float_energy_agrees(self, ps):
+        product, pair = on_both_paths(lambda P: energy_integral(uniform_weights(P), 1.5), ps)
+        assert product == pytest.approx(pair, rel=1e-12)
+
+    @given(product_point_sets(modes=("exact",)))
+    def test_exact_even_energies_agree(self, ps):
+        for s in (2, 4):
+            product, pair = on_both_paths(lambda P: energy_integral(uniform_weights(P), s), ps)
+            assert isinstance(product, Fraction)
+            assert product == pair
+
+    @given(product_point_sets(max_axis=4, modes=("exact",)), st.integers(0, 2**16))
+    def test_exact_non_uniform_energy_matches_brute_force(self, ps, seed):
+        rng = random.Random(seed)
+        units = [rng.randint(1, 5) for _ in range(len(ps))]
+        masses = tuple(Fraction(u, sum(units)) for u in units)
+        mu = WeightedPointSet(base=ps, masses=masses)
+        for s in (2, 4):
+            assert energy_integral(mu, s) == brute_energy(list(ps.points), list(masses), s)
+
+    def test_huge_denominators_stay_exact(self):
+        axis = [Fraction(0), Fraction(1, 2**61 - 1), Fraction(2, 3)]
+        pts = list(itertools.product(axis, axis))
+        ps = PointSet.from_points(pts)
+        assert ps.scaled_integer() is None
+        uniform = uniform_weights(ps)
+        product, pair = on_both_paths(lambda P: energy_integral(uniform_weights(P), 2), ps)
+        assert product == pair == brute_energy(pts, list(uniform.masses), 2)
+        masses = tuple(Fraction(k, 45) for k in range(1, 10))
+        mu = WeightedPointSet(base=ps, masses=masses)
+        assert energy_integral(mu, 2) == brute_energy(pts, list(masses), 2)
+
+    def test_wide_integer_coordinates_stay_exact(self):
+        pts = [(0, 0, 0), (2**39, 1, 0), (0, 2**39, 3), (5, 7, 2**39)]
+        mu = uniform_weights(PointSet.from_points(pts))
+        assert energy_integral(mu, 4) == brute_energy(pts, list(mu.masses), 4)
 
 
 class TestAdaptability:
