@@ -26,6 +26,7 @@ from .geometry import (
     PointSet,
     _group_sums,
     _pair_differences,
+    _unique_rows,
     collinearity_rank,
 )
 
@@ -57,31 +58,6 @@ def _first_nonzero_sign(rows: np.ndarray) -> np.ndarray:
 def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
     sign = _first_nonzero_sign(rows)
     return rows * sign[:, None]
-
-
-def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
-    """Distinct rows over a stream of int64 row chunks with |entry| <= bound.
-
-    Rows pack into single int64 codes whenever (2*bound+1)^d fits, which
-    turns the row dedup into scalar unique calls; otherwise the slower
-    axis unique runs."""
-    base = 2 * bound + 1
-    if base**d <= 1 << 62:
-        codes = []
-        for rows in chunk_rows:
-            code = rows[:, 0] + bound
-            for j in range(1, d):
-                code = code * base + (rows[:, j] + bound)
-            codes.append(np.unique(code))
-        merged = np.unique(np.concatenate(codes))
-        out = np.empty((len(merged), d), dtype=np.int64)
-        rem = merged
-        for j in range(d - 1, -1, -1):
-            rem, r = np.divmod(rem, base)
-            out[:, j] = r - bound
-        return out
-    chunks = [np.unique(rows, axis=0) for rows in chunk_rows]
-    return np.unique(np.vstack(chunks), axis=0)
 
 
 def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:

@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionFailed, SizeLimit
-from .geometry import PointSet
+from .geometry import MAX_DENOMINATOR, PointSet
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -123,12 +125,8 @@ class LatticeSpec:
 
 def lattice_set(spec: LatticeSpec) -> PointSet:
     """All (q+1)^d rational grid points i/q, lexicographically ordered."""
-    q = Fraction(spec.q)
-    pts = [
-        tuple(Fraction(i) / q for i in idx)
-        for idx in itertools.product(range(spec.q + 1), repeat=spec.d)
-    ]
-    return PointSet.from_points(pts, mode="exact")
+    grid = np.indices((spec.q + 1,) * spec.d).reshape(spec.d, -1).T
+    return PointSet._from_scaled(grid, spec.q)
 
 
 def _axis_grid(g: int) -> list[Fraction]:
@@ -263,5 +261,7 @@ def product_cantor(
     axis = [p[0] for p in line]
     if len(axis) ** d > cap:
         raise SizeLimit(f"{len(axis)}^{d} exceeds the {cap} point cap")
-    pts = list(itertools.product(axis, repeat=d))
-    return PointSet.from_points(pts, mode="exact")
+    denom = math.lcm(*(v.denominator for v in axis))
+    ints = np.array([v.numerator * (denom // v.denominator) for v in axis],
+                    dtype=np.int64 if denom <= MAX_DENOMINATOR else object)
+    return PointSet._from_scaled(ints[np.indices((len(axis),) * d).reshape(d, -1).T], denom)

@@ -76,17 +76,24 @@ def _float_dup_key(point: tuple) -> tuple:
     return tuple(round(c / DUPLICATE_RESOLUTION) for c in point)
 
 
+# Bounds of the int64 form of exact sets (see PointSet.scaled_integer).
+MAX_DENOMINATOR = 1 << 31
+MAX_NUMERATOR = 1 << 40
+
+
 @dataclass
 class PointSet:
     """An ordered collection of distinct points in a common dimension.
 
-    Treat instances as immutable after construction; the cached numpy array
-    is shared between callers.
+    Exact sets built from an integer array (lattices, Cantor products, split
+    pieces) are held as ``scaled_integer()`` and ``points`` is a lazy view of
+    them.  Treat instances as immutable after construction; the cached
+    arrays are shared between callers.
     """
 
     dimension: int
-    points: tuple
     mode: str
+    _points: tuple | None = field(default=None, repr=False)
     _array: np.ndarray | None = field(default=None, repr=False, compare=False)
     _scaled: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -106,66 +113,102 @@ class PointSet:
         elif mode not in ("exact", "float"):
             raise PreconditionFailed(f"unknown mode {mode!r}")
         pts = tuple(_coerce_point(r, mode) for r in rows)
-        if mode == "exact":
-            seen = set()
-            for p in pts:
-                if p in seen:
-                    raise PreconditionFailed(f"duplicate point {p}")
-                seen.add(p)
-        else:
-            seen = set()
-            for p in pts:
-                key = _float_dup_key(p)
-                if key in seen:
-                    raise PreconditionFailed(f"duplicate point {p} at resolution {DUPLICATE_RESOLUTION}")
-                seen.add(key)
-        return cls(dimension=dimension, points=pts, mode=mode)
+        seen = set()
+        for p in pts:
+            key = p if mode == "exact" else _float_dup_key(p)
+            if key in seen:
+                where = "" if mode == "exact" else f" at resolution {DUPLICATE_RESOLUTION}"
+                raise PreconditionFailed(f"duplicate point {p}{where}")
+            seen.add(key)
+        return cls(dimension=dimension, mode=mode, _points=pts)
+
+    @classmethod
+    def _from_scaled(cls, rows: np.ndarray, denom) -> "PointSet":
+        """The point set rows / denom, inverse of ``_scaled_rows``.  int64 rows
+        are checked like from_points input and against the int64 bounds, and
+        the denominator is reduced to the lcm of the coordinate denominators;
+        Python-int rows (the slow path) and float rows go through from_points."""
+        if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] < 2:
+            raise PreconditionFailed("need a nonempty array of points in dimension at least 2")
+        if rows.dtype.kind == "f":
+            return cls.from_points((rows / denom).tolist(), mode="float")
+        if rows.dtype == object:
+            return cls.from_points([[Fraction(v, denom) for v in r] for r in rows.tolist()], mode="exact")
+        if rows.dtype.kind not in "iu" or not 1 <= denom <= MAX_DENOMINATOR or (
+                rows.min() < -MAX_NUMERATOR or rows.max() > MAX_NUMERATOR):
+            raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
+        g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
+        rows, denom = rows.astype(np.int64, order="C") // g, int(denom) // g
+        if len(_unique_rows([rows], int(np.abs(rows).max()), rows.shape[1])) < len(rows):
+            raise PreconditionFailed("duplicate point")
+        return cls(dimension=rows.shape[1], mode="exact", _scaled=(rows, denom))
+
+    @property
+    def points(self) -> tuple:
+        """Coordinate tuples; array-held sets build them on first use, with one
+        shared Fraction per distinct value of a column."""
+        if self._points is None:
+            arr, denom = self._scaled
+            cols = []
+            for col in arr.T:
+                values, inverse = np.unique(col, return_inverse=True)
+                shared = np.array([Fraction(v, denom) for v in values.tolist()], dtype=object)
+                cols.append(shared[inverse].tolist())
+            self._points = tuple(zip(*cols))
+        return self._points
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PointSet) and (self.dimension, self.mode, self.points) == (
+            other.dimension, other.mode, other.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._scaled[0]) if self._points is None else len(self._points)
 
     def __iter__(self):
         return iter(self.points)
 
     def as_array(self) -> np.ndarray:
-        """Float64 view of the coordinates, cached after the first call."""
+        """Float64 view of the coordinates, cached after the first call.  For
+        array-held sets it is array / denominator: both are below 2^53, so
+        each entry equals float() of its Fraction bit for bit."""
         if self._array is None:
-            self._array = np.array(
-                [[float(c) for c in p] for p in self.points], dtype=np.float64
-            )
+            self._array = (self._scaled[0] / self._scaled[1] if self._points is None else
+                           np.array([[float(c) for c in p] for p in self.points], dtype=np.float64))
         return self._array
 
     def scaled_integer(self) -> tuple[np.ndarray, int] | None:
         """Integer coordinates over a common denominator, when small enough.
 
-        Returns (array, denominator) with array = denominator * points, or
-        None when the set is float mode or the common denominator does not
-        fit comfortably in int64 arithmetic.
+        Returns (int64 array, denominator) with array = denominator * points
+        and denominator the lcm of the coordinate denominators, or None when
+        the set is float mode, the denominator exceeds MAX_DENOMINATOR or an
+        entry exceeds MAX_NUMERATOR in magnitude.
         """
         if self.mode != "exact":
             return None
         if self._scaled is None:
+            self._scaled = (None, 0)
             denom = 1
-            for p in self.points:
-                for c in p:
-                    denom = math.lcm(denom, c.denominator)
-                    if denom > 1 << 31:
-                        self._scaled = (None, 0)
-                        return None
-            biggest = 0
-            arr = np.empty((len(self.points), self.dimension), dtype=np.int64)
-            for i, p in enumerate(self.points):
-                for j, c in enumerate(p):
-                    v = c.numerator * (denom // c.denominator)
-                    biggest = max(biggest, abs(v))
-                    arr[i, j] = v
-            if biggest > 1 << 40:
-                self._scaled = (None, 0)
-                return None
-            self._scaled = (arr, denom)
-        if self._scaled[0] is None:
-            return None
-        return self._scaled
+            for den in {c.denominator for p in self.points for c in p}:
+                denom = math.lcm(denom, den)
+                if denom > MAX_DENOMINATOR:
+                    return None
+            arr = np.array([[c.numerator * (denom // c.denominator) for c in p] for p in self.points])
+            if arr.min() >= -MAX_NUMERATOR and arr.max() <= MAX_NUMERATOR:
+                self._scaled = (arr.astype(np.int64), denom)
+        return None if self._scaled[0] is None else self._scaled
+
+    def _scaled_rows(self) -> tuple[np.ndarray, int | float]:
+        """(rows, denominator) with rows / denominator the coordinates:
+        scaled_integer(), (as_array(), 1.0) for float sets, or for exact sets
+        past the int64 bounds the slow path, Python ints over the exact lcm."""
+        if self.mode == "float":
+            return self.as_array(), 1.0
+        if self.scaled_integer() is not None:
+            return self._scaled
+        denom = math.lcm(*{c.denominator for p in self.points for c in p})
+        ints = [[c.numerator * (denom // c.denominator) for c in p] for p in self.points]
+        return np.array(ints, dtype=object), denom
 
 
 # Target row count for one block of pair differences.
@@ -247,6 +290,40 @@ def _group_sums(keys: np.ndarray, mult: np.ndarray) -> dict:
     sums = np.zeros(len(values), dtype=mult.dtype)
     np.add.at(sums, inverse, mult)
     return dict(zip(values.tolist(), sums.tolist()))
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array by sort and adjacent compare; on mostly
+    distinct int64 values plain np.unique can take a much slower hash path."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
+    """Distinct rows over a stream of int64 row chunks with |entry| <= bound.
+
+    Rows pack into single int64 codes whenever (2*bound+1)^d fits, which
+    turns the row dedup into scalar unique calls; otherwise the slower
+    axis unique runs."""
+    base = 2 * bound + 1
+    if base**d <= 1 << 62:
+        codes = []
+        for rows in chunk_rows:
+            code = rows[:, 0] + bound
+            for j in range(1, d):
+                code = code * base + (rows[:, j] + bound)
+            codes.append(_sorted_unique(code))
+        merged = _sorted_unique(np.concatenate(codes))
+        out = np.empty((len(merged), d), dtype=np.int64)
+        rem = merged
+        for j in range(d - 1, -1, -1):
+            rem, r = np.divmod(rem, base)
+            out[:, j] = r - bound
+        return out
+    chunks = [np.unique(rows, axis=0) for rows in chunk_rows]
+    return np.unique(np.vstack(chunks), axis=0)
 
 
 @dataclass(frozen=True, slots=True)

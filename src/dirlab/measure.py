@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
 from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _group_sums
-from .geometry import _is_product_support, _pair_differences
+from .geometry import _is_product_support, _pair_differences, _sorted_unique
 
 
 @dataclass
@@ -34,6 +34,7 @@ class WeightedPointSet:
     masses: tuple
     thickening_radius: float | None = None
     uniform: bool = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.masses) != len(self.base):
@@ -41,14 +42,14 @@ class WeightedPointSet:
         # tuple.count tests identity first, so a shared mass is never hashed
         self.uniform = self.masses.count(self.masses[0]) == len(self.masses)
         distinct = self.masses[:1] if self.uniform else self.masses
-        exact = all(isinstance(m, (int, Fraction)) for m in distinct)
-        if not exact and not all(math.isfinite(m) for m in distinct):
+        self.exact = all(isinstance(m, (int, Fraction)) for m in distinct)
+        if not self.exact and not all(math.isfinite(m) for m in distinct):
             raise PreconditionFailed("masses must be finite")
         for m in distinct:
             if m < 0:
                 raise PreconditionFailed("masses must be nonnegative")
         total = self.total_mass()
-        if exact:
+        if self.exact:
             if total != 1:
                 raise PreconditionFailed(f"masses sum to {total}, not 1")
         elif abs(total - 1.0) > 1e-12:
@@ -64,6 +65,12 @@ class WeightedPointSet:
 
     def mass_array(self) -> np.ndarray:
         return np.array([float(m) for m in self.masses], dtype=np.float64)
+
+    def mass_numerators(self) -> tuple[np.ndarray, int]:
+        """Exact masses as Python-int numerators (object array) over their
+        common denominator."""
+        common = math.lcm(*(Fraction(m).denominator for m in self.masses))
+        return np.array([int(m * common) for m in self.masses], dtype=object), common
 
 
 def uniform_weights(P: PointSet, s=None) -> WeightedPointSet:
@@ -132,13 +139,7 @@ def energy_integral(mu: WeightedPointSet, s):
         return Fraction(0) if mu.base.mode == "exact" else 0.0
 
     s_int = int(s) if float(s) == int(s) else None
-    exact_masses = all(isinstance(m, (int, Fraction)) for m in mu.masses)
-    if (
-        mu.base.mode == "exact"
-        and exact_masses
-        and s_int is not None
-        and s_int % 2 == 0
-    ):
+    if mu.base.mode == "exact" and mu.exact and s_int is not None and s_int % 2 == 0:
         # Integers over the common denominator, as Python ints or Fractions
         # where |x - y|^2 could overflow int64.
         arr, denom = mu.base.scaled_integer() or (np.array(mu.base.points, dtype=object), 1)
@@ -149,8 +150,7 @@ def energy_integral(mu: WeightedPointSet, s):
         if mu.uniform:
             weights, scale = None, Fraction(mu.masses[0]) ** 2
         else:
-            common = math.lcm(*(Fraction(m).denominator for m in mu.masses))
-            weights = np.array([int(m * common) for m in mu.masses], dtype=object)
+            weights, common = mu.mass_numerators()
             scale = Fraction(1, common * common)
         grouped = Counter()
         for diffs, mult in _pair_differences(arr, weights):
@@ -238,52 +238,16 @@ class CubeSplit:
     child_indices: tuple
 
 
-def _child_assignment(points, mode, origin, side):
-    """Index in {0..3}^d of the quarter-cube child holding each point."""
-    n = len(points)
-    d = len(points[0])
-    if mode == "float":
-        arr = np.array(points, dtype=np.float64)
-        o = np.array([float(c) for c in origin])
-        idx = np.floor((arr - o) * (4.0 / float(side))).astype(np.int64)
-        return np.clip(idx, 0, 3)
-    scale = None
-    denom = 1
-    for p in points:
-        for c in p:
-            denom = math.lcm(denom, c.denominator)
-            if denom > 1 << 40:
-                break
-    side_scaled = Fraction(side) * denom
-    origin_scaled = [Fraction(c) * denom for c in origin]
-    if denom <= 1 << 40 and side_scaled.denominator == 1 and all(
-        c.denominator == 1 for c in origin_scaled
-    ):
-        arr = np.array(
-            [[int(c * denom) for c in p] for p in points], dtype=np.int64
-        )
-        o = np.array([int(c) for c in origin_scaled], dtype=np.int64)
-        idx = (4 * (arr - o)) // int(side_scaled)
-        return np.clip(idx, 0, 3)
-    out = np.empty((n, d), dtype=np.int64)
-    for i, p in enumerate(points):
-        for k in range(d):
-            v = (Fraction(p[k]) - Fraction(origin[k])) * 4 / Fraction(side)
-            out[i, k] = min(3, max(0, math.floor(v)))
-    return out
-
-
-def _normalized_piece(points, masses, mode, total, parent) -> WeightedPointSet:
+def _normalized_piece(mu, rows, denom, sel, total) -> WeightedPointSet:
+    """Atoms sel of mu (rows / denom) renormalized to total mass one."""
     if isinstance(total, Fraction):
-        if parent.uniform:
-            scaled = (Fraction(masses[0]) / total,) * len(masses)
+        if mu.uniform:
+            scaled = (Fraction(mu.masses[0]) / total,) * len(sel)
         else:
-            scaled = tuple(Fraction(m) / total for m in masses)
+            scaled = tuple(Fraction(mu.masses[i]) / total for i in sel.tolist())
     else:
-        scaled = tuple(float(m) / float(total) for m in masses)
-    return WeightedPointSet(
-        base=PointSet.from_points(points, mode=mode), masses=scaled
-    )
+        scaled = tuple(float(mu.masses[i]) / float(total) for i in sel.tolist())
+    return WeightedPointSet(base=PointSet._from_scaled(rows[sel], denom), masses=scaled)
 
 
 def stopping_time_split(
@@ -298,6 +262,14 @@ def stopping_time_split(
     gap of a quarter side).  Among qualifying pairs the one separated in
     the most coordinates wins, then the heavier, then index order.  With
     no qualifying pair, recursion descends into the heaviest child.
+
+    Exact sets run on integer rows over their denominator D: at level L an
+    atom keeps rel = D * 4^(L-1) * (x - cube origin) <= D, its child index is
+    clip(4 * rel // D, 0, 3) and the descent sets rel to 4 * rel - index * D.
+    Rows are int64 within the bounds of PointSet.scaled_integer() and Python
+    ints past them.  Child masses are exact (counts times the shared mass,
+    or integer numerators over a common denominator) or float sums in atom
+    order.
     """
     d = mu.base.dimension
     if c is None:
@@ -306,36 +278,38 @@ def stopping_time_split(
         raise PreconditionFailed("mass threshold must lie in (0, 1)")
     if max_depth < 1:
         raise PreconditionFailed("max_depth must be at least 1")
-    mode = mu.base.mode
-    exact = mode == "exact" and all(
-        isinstance(m, (int, Fraction)) for m in mu.masses
-    )
+    exact = mu.base.mode == "exact" and mu.exact
     c_value = Fraction(c) if exact else float(c)
+    rows, denom = mu.base._scaled_rows()
+    if rows.min() < 0 or rows.max() > denom:
+        raise PreconditionFailed("the measure must live in the unit cube")
+    if not exact:
+        weights = mu.mass_array()
+    elif not mu.uniform:
+        weights, common = mu.mass_numerators()
+    powers = 4 ** np.arange(d - 1, -1, -1, dtype=np.int64 if d < 32 else object)
 
-    points = list(mu.base.points)
-    masses = list(mu.masses)
-    for p in mu.base.points:
-        for coord in p:
-            if coord < 0 or coord > 1:
-                raise PreconditionFailed("the measure must live in the unit cube")
-
-    zero = Fraction(0) if exact else 0.0
-    origin = tuple(zero for _ in range(d))
-    side = Fraction(1) if exact else 1.0
-    cube_mass = Fraction(1) if exact else 1.0
+    one = Fraction(1) if exact else 1.0
+    origin, side, cube_mass = (0 * one,) * d, one, one
+    index, rel = np.arange(len(rows)), rows  # atoms of mu inside the current cube
 
     for level in range(1, max_depth + 1):
-        child = _child_assignment(points, mode, origin, side)
-        codes = {}
-        for i in range(len(points)):
-            key = tuple(int(v) for v in child[i])
-            codes.setdefault(key, []).append(i)
-        child_mass = {}
-        for key, idxs in codes.items():
-            total = zero
-            for i in idxs:
-                total = total + masses[i]
-            child_mass[key] = total
+        if mu.base.mode == "exact":
+            child = np.clip((4 * rel) // denom, 0, 3).astype(np.int64)
+        else:
+            shifted = (rel - np.array(origin)) * (4.0 / side)
+            child = np.clip(np.floor(shifted).astype(np.int64), 0, 3)
+        code = child @ powers
+        codes = _sorted_unique(code)
+        inverse = np.searchsorted(codes, code)
+        if not exact:
+            sums = np.bincount(inverse, weights=weights[index]).tolist()
+        elif mu.uniform:
+            sums = [Fraction(mu.masses[0]) * k for k in np.bincount(inverse).tolist()]
+        else:
+            sums = [Fraction(v, common) for v in _group_sums(inverse, weights[index]).values()]
+        keys = [tuple(v // 4**k % 4 for k in range(d - 1, -1, -1)) for v in codes.tolist()]
+        child_mass = dict(zip(keys, sums))
 
         threshold = c_value * cube_mass
         heavy = sorted(key for key, m in child_mass.items() if m >= threshold)
@@ -355,14 +329,10 @@ def stopping_time_split(
             widest = max(gaps)
             sep_coordinate = max(k for k, g in enumerate(gaps) if g == widest)
             quarter = side / 4
-            piece_points_a = [points[i] for i in codes[a]]
-            piece_masses_a = [masses[i] for i in codes[a]]
-            piece_points_b = [points[i] for i in codes[b]]
-            piece_masses_b = [masses[i] for i in codes[b]]
             return CubeSplit(
-                pieces=(
-                    _normalized_piece(piece_points_a, piece_masses_a, mode, child_mass[a], mu),
-                    _normalized_piece(piece_points_b, piece_masses_b, mode, child_mass[b], mu),
+                pieces=tuple(
+                    _normalized_piece(mu, rows, denom, index[inverse == keys.index(key)], child_mass[key])
+                    for key in (a, b)
                 ),
                 piece_masses=(child_mass[a], child_mass[b]),
                 level=level,
@@ -381,9 +351,10 @@ def stopping_time_split(
         origin = tuple(o + k * quarter for o, k in zip(origin, key))
         side = quarter
         cube_mass = child_mass[key]
-        keep = codes[key]
-        points = [points[i] for i in keep]
-        masses = [masses[i] for i in keep]
+        keep = inverse == keys.index(key)
+        index, rel = index[keep], rel[keep]
+        if mu.base.mode == "exact":
+            rel = 4 * rel - np.array(key, dtype=rel.dtype) * denom
 
     raise DepthExhausted(max_depth)
 
@@ -393,9 +364,9 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
 
     The separating coordinate moves to the last position and becomes the
     slope denominator; coordinates whose child-index offset disagrees in
-    sign with the denominator offset are reflected (x -> 1-x) so expected
-    slopes come out positive.  Reflections and permutations change no
-    pairwise geometry.
+    sign with the denominator offset are reflected (x -> 1-x, on the
+    integer rows D - v) so expected slopes come out positive.  Reflections
+    and permutations change no pairwise geometry.
     """
     a, b = split.child_indices
     k = split.sep_coordinate
@@ -408,17 +379,10 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
     flips = [delta[i] < 0 for i in perm]
 
     def transform(piece: WeightedPointSet) -> WeightedPointSet:
-        one = Fraction(1) if piece.base.mode == "exact" else 1.0
-        pts = []
-        for p in piece.base.points:
-            coords = tuple(
-                (one - p[i]) if flip else p[i] for i, flip in zip(perm, flips)
-            )
-            pts.append(coords)
-        return WeightedPointSet(
-            base=PointSet.from_points(pts, mode=piece.base.mode),
-            masses=piece.masses,
-        )
+        rows, denom = piece.base._scaled_rows()
+        rows = rows[:, perm]
+        rows[:, flips] = denom - rows[:, flips]
+        return WeightedPointSet(base=PointSet._from_scaled(rows, denom), masses=piece.masses)
 
     first, second = split.pieces
     if split.child_indices != (a, b):

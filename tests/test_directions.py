@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -158,6 +159,22 @@ class TestProductDifferencePath:
         mu = uniform_weights(ps)
         assert energy_integral(mu, 2) > 0
         assert energy_integral(mu, 1.5) > 0
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("bound", [5, 1 << 40])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_both_branches_match_numpy(self, bound, d):
+        # bound 5 packs rows into int64 codes; 2^40 leaves them to axis unique
+        from dirlab.directions import _unique_rows
+
+        rng = np.random.default_rng(bound + d)
+        for trial in range(20):
+            rows = rng.integers(-bound, bound + 1, size=(60, d))
+            rows = np.vstack([rows, rows[rng.integers(0, 60, size=30)]])
+            chunks = np.array_split(rows[rng.permutation(len(rows))], 1 + trial % 4)
+            got = _unique_rows(chunks, bound, d)
+            assert np.array_equal(got, np.unique(rows, axis=0))
 
 
 class TestPrimitiveCount:

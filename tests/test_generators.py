@@ -1,7 +1,9 @@
 """Lattices, IFS approximants, surface samples, and Cantor products."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,8 +19,11 @@ from dirlab import (
     ifs_approximant,
     lattice_set,
     lipschitz_graph_sample,
+    PointSet,
+    cantor_line_system,
     product_cantor,
 )
+from dirlab.generators import _ifs_orbit
 
 
 def in_unit_cube(ps):
@@ -204,3 +209,41 @@ class TestProductCantor:
         ps = product_cantor(2, m=3, ratio=Fraction(1, 4), depth=depth)
         assert len(ps) == 9**depth
         assert in_unit_cube(ps)
+
+
+def assert_same_point_set(built, reference):
+    """Same points, the same float64 bytes and the same scaled integers."""
+    assert list(built.points) == list(reference.points)
+    assert built.as_array().tobytes() == reference.as_array().tobytes()
+    want = reference.scaled_integer()
+    if want is None:
+        assert built.scaled_integer() is None
+    else:
+        arr, denom = built.scaled_integer()
+        assert arr.dtype == np.int64 and denom == want[1]
+        assert np.array_equal(arr, want[0])
+
+
+class TestArrayBuiltSets:
+    """lattice_set and product_cantor build their integer array directly."""
+
+    @pytest.mark.parametrize("q, d", [(1, 2), (4, 2), (12, 2), (6, 3)])
+    def test_lattice_matches_from_points(self, q, d):
+        pts = [tuple(Fraction(i, q) for i in idx) for idx in itertools.product(range(q + 1), repeat=d)]
+        assert_same_point_set(lattice_set(LatticeSpec(q=q, d=d)), PointSet.from_points(pts))
+
+    @pytest.mark.parametrize(
+        "d, m, ratio, depth",
+        [
+            (2, 3, Fraction(1, 4), 3),
+            (3, 3, Fraction(1, 4), 2),
+            (2, 2, Fraction(2, 5), 4),
+            (2, 5, Fraction(1, 6), 2),
+            # denominator 10^12, past the int64 form: built with from_points
+            (2, 2, Fraction(4999, 10000), 3),
+        ],
+    )
+    def test_cantor_matches_from_points(self, d, m, ratio, depth):
+        axis = [p[0] for p in _ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)]
+        reference = PointSet.from_points(list(itertools.product(axis, repeat=d)))
+        assert_same_point_set(product_cantor(d, m=m, ratio=ratio, depth=depth), reference)

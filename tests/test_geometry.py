@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,6 +228,62 @@ class TestPointSet:
     def test_as_array_values(self):
         ps = PointSet.from_points([(Fraction(1, 4), 1)])
         assert ps.as_array().tolist() == [[0.25, 1.0]]
+
+
+class TestScaledConstructor:
+    """PointSet._from_scaled validates as from_points does, plus int64 bounds."""
+
+    def test_round_trip_and_reduced_denominator(self):
+        ps = PointSet._from_scaled(np.array([[2, 4], [6, 0], [8, 8]]), 8)
+        assert ps.mode == "exact" and len(ps) == 3
+        assert ps.points == ((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), 0), (1, 1))
+        arr, denom = ps.scaled_integer()
+        assert denom == 4 and arr.tolist() == [[1, 2], [3, 0], [4, 4]]
+        assert ps == PointSet.from_points(ps.points)
+
+    def test_rejects_duplicate_rows(self):
+        with pytest.raises(PreconditionFailed, match="duplicate"):
+            PointSet._from_scaled(np.array([[0, 1], [2, 3], [0, 1]]), 4)
+        # far-apart entries take the axis-unique branch of the row dedup
+        with pytest.raises(PreconditionFailed, match="duplicate"):
+            PointSet._from_scaled(np.array([[-(1 << 40), 1 << 40], [5, 7], [-(1 << 40), 1 << 40]]), 3)
+
+    @pytest.mark.parametrize(
+        "coord, fits",
+        [
+            (Fraction(1, 1 << 31), True),
+            (Fraction(1, (1 << 31) + 1), False),
+            (Fraction(1 << 40), True),
+            (Fraction(-(1 << 40)), True),
+            (Fraction((1 << 40) + 1), False),
+            (Fraction(-(1 << 40) - 1), False),
+        ],
+    )
+    def test_scaled_integer_bounds(self, coord, fits):
+        ps = PointSet.from_points([(coord, 0), (0, 0)])
+        assert (ps.scaled_integer() is not None) == fits
+        if fits:
+            arr, denom = ps.scaled_integer()
+            assert PointSet._from_scaled(arr, denom) == ps
+        else:
+            with pytest.raises(PreconditionFailed):
+                PointSet._from_scaled(np.array([[coord.numerator, 0], [0, 0]]), coord.denominator)
+
+    @pytest.mark.parametrize(
+        "rows, denom",
+        [
+            (np.zeros((0, 2), dtype=np.int64), 1),
+            (np.array([1, 2]), 1),
+            (np.array([[1], [2]]), 1),
+            (np.array([[0, 1]]), 0),
+            (np.array([[0, 1]]), (1 << 31) + 1),
+            (np.array([[0, (1 << 40) + 1]]), 1),
+            (np.array([[-(1 << 40) - 1, 0]]), 1),
+        ],
+    )
+    def test_rejects_bad_input(self, rows, denom):
+        with pytest.raises(PreconditionFailed):
+            PointSet._from_scaled(rows, denom)
 
 
 class TestPointSetFiles:

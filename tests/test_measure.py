@@ -17,6 +17,7 @@ from conftest import (
     product_point_sets,
     random_rational_points,
 )
+from reference_split import reference_orientation, reference_split
 from dirlab import (
     DepthExhausted,
     LatticeSpec,
@@ -89,6 +90,10 @@ class TestWeightedPointSet:
         assert uniform_weights(ps).uniform
         assert WeightedPointSet(base=ps, masses=(Fraction(1, 3), Fraction(2, 6), Fraction(1, 3))).uniform
         assert not WeightedPointSet(base=ps, masses=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))).uniform
+        assert uniform_weights(ps).exact
+        mixed = WeightedPointSet(base=ps, masses=(Fraction(1, 4), 0.25, 0.5))
+        assert not mixed.uniform and not mixed.exact
+        assert not uniform_weights(PointSet.from_points([(0.0, 0.0), (1.0, 1.0)])).exact
 
     @pytest.mark.parametrize(
         "masses",
@@ -384,6 +389,112 @@ class TestOrientSplit:
         assert len(lower) == len(split.pieces[1])
         assert upper.total_mass() == 1 and lower.total_mass() == 1
         assert final_coordinate_gap(upper, lower) > 0
+
+
+@st.composite
+def split_measures(draw):
+    """Small measures in the unit cube for the split oracle.
+
+    Points k/den (den mostly not a power of 4, k = den giving x = 1) are
+    packed into one cube of side 4^-zoom, so the split descends zoom levels
+    before it can stop; points on the far face of that cube sit on a child
+    boundary.  Masses are uniform exact, non-uniform exact (zeros allowed),
+    float on an exact base, or float on a float base.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    den = draw(st.sampled_from([3, 5, 6, 7, 8, 10, 12, 16, 20, 24, 48]))
+    zoom = draw(st.integers(0, 2))
+    cell = [draw(st.integers(0, 4**zoom - 1)) for _ in range(d)]
+    raw = draw(st.sets(st.tuples(*[st.integers(0, den)] * d), min_size=2, max_size=14))
+    points = [
+        tuple((c + Fraction(k, den)) / 4**zoom for c, k in zip(cell, p)) for p in sorted(raw)
+    ]
+    kind = draw(st.sampled_from(["uniform", "weighted", "float masses", "float"]))
+    base = PointSet.from_points(
+        [tuple(float(v) for v in p) for p in points] if kind == "float" else points
+    )
+    if kind == "uniform":
+        mu = uniform_weights(base)
+    else:
+        units = draw(st.lists(st.integers(0, 9), min_size=len(points), max_size=len(points)))
+        units[0] += 1
+        total = sum(units)
+        masses = [Fraction(u, total) if kind == "weighted" else u / total for u in units]
+        mu = WeightedPointSet(base=base, masses=tuple(masses))
+    c = draw(st.sampled_from([None, Fraction(1, 16), Fraction(1, 5), 0.1, 1 / 3]))
+    return mu, c
+
+
+def assert_identical(got, want):
+    """Equal values of the same types, elementwise through tuples."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    else:
+        assert got == want
+
+
+def assert_same_measure(got, want):
+    assert got.base.mode == want.base.mode
+    assert_identical(tuple(got.base.points), tuple(want.base.points))
+    assert got.base.as_array().tobytes() == want.base.as_array().tobytes()
+    assert_identical(got.masses, want.masses)
+
+
+def assert_matches_reference(mu, c, max_depth=8):
+    try:
+        want = reference_split(mu, c=c, max_depth=max_depth)
+    except DepthExhausted:
+        with pytest.raises(DepthExhausted):
+            stopping_time_split(mu, c=c, max_depth=max_depth)
+        return None
+    got = stopping_time_split(mu, c=c, max_depth=max_depth)
+    for name in ("level", "child_indices", "sep_coordinate", "piece_masses", "cube_origin",
+                 "threshold", "sep_distance", "cube_side", "parent_mass"):
+        assert_identical(getattr(got, name), getattr(want, name))
+    for g, w in zip(got.pieces, want.pieces):
+        assert_same_measure(g, w)
+    for g, w in zip(orient_split_for_slopes(got), reference_orientation(want)):
+        assert_same_measure(g, w)
+    return got
+
+
+class TestSplitAgainstReference:
+    """The integer-array split and orientation against the Fraction reference."""
+
+    @given(split_measures())
+    def test_matches_reference(self, drawn):
+        assert_matches_reference(*drawn)
+
+    def test_descends_before_splitting(self):
+        # the whole set sits in child (1, 2) of the unit square
+        pts = [(Fraction(1, 4) + Fraction(i, 21), Fraction(1, 2) + Fraction(j, 21))
+               for i in range(6) for j in range(6)]
+        split = assert_matches_reference(uniform_weights(PointSet.from_points(pts)), Fraction(1, 16))
+        assert split.level == 2
+
+    def test_float_child_mass_sums_in_atom_order(self):
+        # summed in atom order the first child holds 1.0000000000000002,
+        # in reverse order 0.9999999999999999 (both scaled by 1/2)
+        pts = [(0.01 * i, 0.01) for i in range(1, 5)] + [(0.99, 0.99 - 0.01 * i) for i in range(1, 5)]
+        masses = (0.05, 0.1, 0.15, 0.2) * 2
+        mu = WeightedPointSet(base=PointSet.from_points(pts), masses=masses)
+        split = assert_matches_reference(mu, 0.25)
+        assert split.piece_masses[0] == ((0.05 + 0.1) + 0.15) + 0.2 != ((0.2 + 0.15) + 0.1) + 0.05
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted"])
+    def test_denominator_beyond_int64_form(self, kind):
+        big = (1 << 31) + 11
+        ks = [0, 3, 7, big // 40, big // 20, big // 9, big // 8]
+        base = PointSet.from_points([(Fraction(i, big), Fraction(j, big)) for i in ks for j in ks])
+        assert base.scaled_integer() is None
+        masses = [Fraction(1 + (i % 3), 2 * len(base)) for i in range(len(base))]
+        masses[-1] = 1 - sum(masses[:-1])
+        mu = uniform_weights(base) if kind == "uniform" else WeightedPointSet(base, tuple(masses))
+        split = assert_matches_reference(mu, Fraction(1, 16))
+        assert split.level > 1
 
 
 class TestFrostmanConstant:
