@@ -67,14 +67,7 @@ def _write_points(args, P, kind: str) -> int:
     if args.to is None and getattr(args, "out", None):
         args.to = str(Path(args.out) / f"{kind}.txt")
     if args.to is None or args.to == "-":
-        sys.stdout.write(f"{P.dimension} {len(P)} {P.mode}\n")
-        for p in P.points:
-            if P.mode == "exact":
-                sys.stdout.write(
-                    " ".join(f"{c.numerator}/{c.denominator}" for c in p) + "\n"
-                )
-            else:
-                sys.stdout.write(" ".join(repr(c) for c in p) + "\n")
+        write_point_set(P, sys.stdout)
         return 0
     Path(args.to).parent.mkdir(parents=True, exist_ok=True)
     write_point_set(P, args.to)
@@ -304,8 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="recorded in outputs;"
                         " the built-in commands are deterministic")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; computations currently run single threaded")
     parser.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
     sub = parser.add_subparsers(dest="command")
 
@@ -417,9 +408,6 @@ def main(argv=None) -> int:
     handler = getattr(args, "handler", None)
     if handler is None:
         parser.print_help(sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:
         return handler(args)

@@ -69,12 +69,8 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     n = len(P)
     if n < 2:
         raise PreconditionFailed("need at least two points for directions")
-    scaled = P.scaled_integer() if P.mode == "exact" else None
-    if P.mode == "exact" and scaled is None:
-        return _census_fraction_fallback(P, antipodal)
-
-    exact = scaled is not None
-    arr = scaled[0] if exact else P.as_array()
+    exact = P.mode == "exact"
+    arr, _ = P._scaled_rows()
 
     def _key_chunks():
         # primitive integer vectors for exact sets, quantized unit vectors for floats
@@ -97,23 +93,6 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     )
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     return DirectionCensus(keys=keys, antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs)
-
-
-def _census_fraction_fallback(P: PointSet, antipodal: bool) -> DirectionCensus:
-    # Denominators too large for the integer fast path; per-pair exact keys.
-    from .geometry import canonical_direction
-
-    n = len(P)
-    keys = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            keys.add(canonical_direction(P.points[i], P.points[j], antipodal))
-            if not antipodal:
-                keys.add(canonical_direction(P.points[j], P.points[i], antipodal))
-    n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
-    return DirectionCensus(
-        keys=frozenset(keys), antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs
-    )
 
 
 def primitive_count(q: int, d: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionFailed, SizeLimit
-from .geometry import MAX_DENOMINATOR, PointSet
+from .geometry import PointSet, _over_common_denominator
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -96,31 +96,16 @@ def ifs_approximant(system: IfsSystem, depth: int, cap: int = DEFAULT_POINT_CAP)
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Scaled integer lattice q^{-1}(Z^d restricted to [0,q]^d).
-
-    The target dimension s only fixes the companion observation radius
-    q^{-d/s}; the point list itself depends on q and d alone.
-    """
+    """Scaled integer lattice q^{-1}(Z^d restricted to [0,q]^d)."""
 
     q: int
     d: int
-    s: Fraction = None
 
     def __post_init__(self):
         if self.q < 1:
             raise PreconditionFailed("q must be at least 1")
         if self.d < 2:
             raise PreconditionFailed("dimension must be at least 2")
-        if self.s is not None:
-            s = Fraction(self.s)
-            if not (0 < s <= self.d):
-                raise PreconditionFailed(f"s={s} outside (0, {self.d}]")
-            object.__setattr__(self, "s", s)
-
-    def radius(self) -> float:
-        if self.s is None:
-            raise PreconditionFailed("no target dimension was given")
-        return float(self.q) ** (-self.d / float(self.s))
 
 
 def lattice_set(spec: LatticeSpec) -> PointSet:
@@ -261,7 +246,5 @@ def product_cantor(
     axis = [p[0] for p in line]
     if len(axis) ** d > cap:
         raise SizeLimit(f"{len(axis)}^{d} exceeds the {cap} point cap")
-    denom = math.lcm(*(v.denominator for v in axis))
-    ints = np.array([v.numerator * (denom // v.denominator) for v in axis],
-                    dtype=np.int64 if denom <= MAX_DENOMINATOR else object)
+    ints, denom = _over_common_denominator(axis)
     return PointSet._from_scaled(ints[np.indices((len(axis),) * d).reshape(d, -1).T], denom)

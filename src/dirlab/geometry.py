@@ -9,6 +9,7 @@ quantized direction keys so that nearly parallel pairs collide predictably.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,16 +28,6 @@ from .errors import (
 DIRECTION_RESOLUTION = 1e-9
 # Snap used only to detect duplicate points in float mode.
 DUPLICATE_RESOLUTION = 1e-12
-
-EXACT_TYPES = (int, Fraction)
-
-Scalar = int | float | Fraction
-Point = tuple
-
-
-def is_exact_scalar(value) -> bool:
-    return isinstance(value, EXACT_TYPES) and not isinstance(value, bool)
-
 
 def infer_mode(coords: Iterable) -> str:
     """Classify a flat iterable of scalars as 'exact' or 'float'.
@@ -179,36 +170,40 @@ class PointSet:
     def scaled_integer(self) -> tuple[np.ndarray, int] | None:
         """Integer coordinates over a common denominator, when small enough.
 
-        Returns (int64 array, denominator) with array = denominator * points
-        and denominator the lcm of the coordinate denominators, or None when
-        the set is float mode, the denominator exceeds MAX_DENOMINATOR or an
-        entry exceeds MAX_NUMERATOR in magnitude.
+        Returns the cached ``_scaled_rows()`` when they are int64: array =
+        denominator * points, with the denominator the lcm of the coordinate
+        denominators.  None for float sets and for exact sets past the bounds
+        (denominator above MAX_DENOMINATOR or an entry above MAX_NUMERATOR in
+        magnitude).
         """
         if self.mode != "exact":
             return None
-        if self._scaled is None:
-            self._scaled = (None, 0)
-            denom = 1
-            for den in {c.denominator for p in self.points for c in p}:
-                denom = math.lcm(denom, den)
-                if denom > MAX_DENOMINATOR:
-                    return None
-            arr = np.array([[c.numerator * (denom // c.denominator) for c in p] for p in self.points])
-            if arr.min() >= -MAX_NUMERATOR and arr.max() <= MAX_NUMERATOR:
-                self._scaled = (arr.astype(np.int64), denom)
-        return None if self._scaled[0] is None else self._scaled
+        scaled = self._scaled_rows()
+        return scaled if scaled[0].dtype == np.int64 else None
 
     def _scaled_rows(self) -> tuple[np.ndarray, int | float]:
-        """(rows, denominator) with rows / denominator the coordinates:
-        scaled_integer(), (as_array(), 1.0) for float sets, or for exact sets
-        past the int64 bounds the slow path, Python ints over the exact lcm."""
+        """(rows, denominator) with rows / denominator the coordinates, cached.
+
+        Float sets give (as_array(), 1.0).  Exact sets give integer rows over
+        the lcm of the coordinate denominators: int64 within the bounds of
+        scaled_integer(), past them the slow path, Python ints in an object
+        array."""
         if self.mode == "float":
             return self.as_array(), 1.0
-        if self.scaled_integer() is not None:
-            return self._scaled
-        denom = math.lcm(*{c.denominator for p in self.points for c in p})
-        ints = [[c.numerator * (denom // c.denominator) for c in p] for p in self.points]
-        return np.array(ints, dtype=object), denom
+        if self._scaled is None:
+            flat, denom = _over_common_denominator([c for p in self.points for c in p])
+            self._scaled = (flat.reshape(len(self), self.dimension), denom)
+        return self._scaled
+
+
+def _over_common_denominator(values: list) -> tuple[np.ndarray, int]:
+    """Exact values as integers over the lcm of their denominators: int64
+    within the bounds of PointSet.scaled_integer(), Python ints (object) past
+    them.  The one place exact values become integers."""
+    denom = math.lcm(*{v.denominator for v in values})
+    ints = [v.numerator * (denom // v.denominator) for v in values]
+    fits = denom <= MAX_DENOMINATOR and -MAX_NUMERATOR <= min(ints) and max(ints) <= MAX_NUMERATOR
+    return np.array(ints, dtype=np.int64 if fits else object), denom
 
 
 # Target row count for one block of pair differences.
@@ -302,28 +297,30 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
-    """Distinct rows over a stream of int64 row chunks with |entry| <= bound.
+    """Distinct rows over a stream of integer row chunks with |entry| <= bound.
 
-    Rows pack into single int64 codes whenever (2*bound+1)^d fits, which
-    turns the row dedup into scalar unique calls; otherwise the slower
-    axis unique runs."""
+    Rows pack into single codes whenever (2*bound+1)^d fits int64, and
+    always for Python-int (object) rows, whose codes are Python ints; that
+    turns the row dedup into scalar unique calls.  Other int64 chunks take
+    the slower axis unique."""
     base = 2 * bound + 1
-    if base**d <= 1 << 62:
-        codes = []
-        for rows in chunk_rows:
+    codes, chunks = [], []
+    for rows in chunk_rows:
+        if rows.dtype == object or base**d <= 1 << 62:
             code = rows[:, 0] + bound
             for j in range(1, d):
                 code = code * base + (rows[:, j] + bound)
             codes.append(_sorted_unique(code))
-        merged = _sorted_unique(np.concatenate(codes))
-        out = np.empty((len(merged), d), dtype=np.int64)
-        rem = merged
-        for j in range(d - 1, -1, -1):
-            rem, r = np.divmod(rem, base)
-            out[:, j] = r - bound
-        return out
-    chunks = [np.unique(rows, axis=0) for rows in chunk_rows]
-    return np.unique(np.vstack(chunks), axis=0)
+        else:
+            chunks.append(np.unique(rows, axis=0))
+    if chunks:
+        return np.unique(np.vstack(chunks), axis=0)
+    rem = _sorted_unique(np.concatenate(codes))
+    out = np.empty((len(rem), d), dtype=rem.dtype)
+    for j in range(d - 1, -1, -1):
+        # // and % rather than np.divmod, which has no object loop
+        rem, out[:, j] = rem // base, rem % base - bound
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -457,8 +454,9 @@ def collinearity_rank(ps: PointSet) -> int:
 # Exact mode writes num/den tokens and round trips bit exactly.
 
 
-def write_point_set(ps: PointSet, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+def write_point_set(ps: PointSet, target) -> None:
+    """Write ps in the format above to a path or an open text stream."""
+    with nullcontext(target) if hasattr(target, "write") else open(target, "w", encoding="ascii") as fh:
         fh.write(f"{ps.dimension} {len(ps)} {ps.mode}\n")
         for p in ps.points:
             if ps.mode == "exact":

@@ -140,9 +140,9 @@ def energy_integral(mu: WeightedPointSet, s):
 
     s_int = int(s) if float(s) == int(s) else None
     if mu.base.mode == "exact" and mu.exact and s_int is not None and s_int % 2 == 0:
-        # Integers over the common denominator, as Python ints or Fractions
-        # where |x - y|^2 could overflow int64.
-        arr, denom = mu.base.scaled_integer() or (np.array(mu.base.points, dtype=object), 1)
+        # Integers over the common denominator; Python ints past the int64
+        # bounds and wherever |x - y|^2 could overflow int64.
+        arr, denom = mu.base._scaled_rows()
         if 4 * mu.base.dimension * int(np.abs(arr).max()) ** 2 >= 1 << 63:
             arr = arr.astype(object)
         # Non-uniform masses enter as integer numerators over their common

@@ -39,6 +39,16 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines()[0] == "2 4 exact"
 
+    @pytest.mark.parametrize("kind", [["lattice", "--q", "3", "--d", "3"],
+                                      ["graph", "--d", "2", "--n", "7"]])
+    def test_stdout_matches_file(self, tmp_path, capsys, kind):
+        target = tmp_path / "points.txt"
+        code, _, _ = run_cli(capsys, "generate", *kind, "--to", str(target))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "generate", *kind, "--to", "-")
+        assert code == 0
+        assert out.encode("ascii") == target.read_bytes()
+
     def test_garnett_depth_two(self, tmp_path, capsys):
         target = tmp_path / "garnett.txt"
         code, *_ = run_cli(
@@ -287,13 +297,6 @@ class TestExperimentAndErrors:
         code, _, err = run_cli(capsys, "experiment", "run", str(cfg))
         assert code == 2
         assert "error:" in err
-
-    def test_invalid_threads_rejected(self, tmp_path, capsys):
-        points = write_points(tmp_path, "sq.txt", SQUARE)
-        code, _, err = run_cli(
-            capsys, "--threads", "0", "directions", "count", points
-        )
-        assert code == 2
 
     def test_degenerate_input_reported(self, tmp_path, capsys):
         points = write_points(tmp_path, "one.txt", "2 1 exact\n0 0\n")

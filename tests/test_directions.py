@@ -1,5 +1,6 @@
 """Direction censuses, primitive counts, coverage grids, separation."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -175,6 +176,42 @@ class TestUniqueRows:
             chunks = np.array_split(rows[rng.permutation(len(rows))], 1 + trial % 4)
             got = _unique_rows(chunks, bound, d)
             assert np.array_equal(got, np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_python_int_rows(self, d):
+        # object rows past int64 pack into Python-int codes
+        from dirlab.directions import _unique_rows
+
+        rng = random.Random(d)
+        bound = 1 << 70
+        rows = [tuple(rng.randrange(-bound, bound + 1) for _ in range(d)) for _ in range(40)]
+        rows += [(bound,) * d, (-bound,) * d] + rng.choices(rows, k=25)
+        rng.shuffle(rows)
+        chunks = [np.array(rows[i : i + 16], dtype=object) for i in range(0, len(rows), 16)]
+        got = _unique_rows(chunks, bound, d)
+        assert got.dtype == object and len(got) == len(set(rows))
+        assert {tuple(r) for r in got.tolist()} == set(rows)
+
+
+class TestSlowPathCensus:
+    """Exact sets past the int64 bounds of scaled_integer() take Python-int rows."""
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("wide", [False, True], ids=["denominator-2^61-1", "integers-past-2^40"])
+    def test_keys_match_oracle(self, wide, d, antipodal):
+        rng = random.Random(10 * d + wide)
+        den = 1 if wide else (1 << 61) - 1
+        step, top = ((1 << 41) + 3, 1 << 45) if wide else (rng.randrange(1, den // 8), den)
+        shift = [rng.randrange(-top, top) for _ in range(d)]
+        # a small grid keeps repeated directions; random points add unrelated ones
+        pts = {tuple(Fraction(s + g * step, den) for s, g in zip(shift, cell))
+               for cell in itertools.product(range(3), repeat=d)}
+        pts |= {tuple(Fraction(rng.randrange(-top, top), den) for _ in range(d)) for _ in range(6)}
+        ps = PointSet.from_points(sorted(pts))
+        assert ps.scaled_integer() is None
+        census = distinct_directions(ps, antipodal=antipodal)
+        assert {key_to_oracle_form(k) for k in census.keys} == oracle_census(ps.points, antipodal)
 
 
 class TestPrimitiveCount:

@@ -56,12 +56,6 @@ class TestLatticeSet:
             LatticeSpec(q=0, d=2)
         with pytest.raises(PreconditionFailed):
             LatticeSpec(q=2, d=1)
-        with pytest.raises(PreconditionFailed):
-            LatticeSpec(q=2, d=2, s=Fraction(5, 2))
-
-    def test_radius_matches_scale_rule(self):
-        spec = LatticeSpec(q=4, d=2, s=Fraction(4, 5))
-        assert spec.radius() == pytest.approx(4.0 ** (-2 / 0.8))
 
 
 class TestIfsApproximant:

@@ -269,6 +269,24 @@ class TestScaledConstructor:
             with pytest.raises(PreconditionFailed):
                 PointSet._from_scaled(np.array([[coord.numerator, 0], [0, 0]]), coord.denominator)
 
+    @pytest.mark.parametrize("build", ["from_points", "_from_scaled"])
+    def test_scaled_integer_is_the_cached_rows(self, build):
+        rows = np.array([[3, -7], [1 << 40, 2], [0, 5]])
+        ps = (PointSet._from_scaled(rows, 6) if build == "_from_scaled" else
+              PointSet.from_points([[Fraction(int(v), 6) for v in r] for r in rows]))
+        arr, denom = ps.scaled_integer()
+        rows_again, denom_again = ps._scaled_rows()
+        assert arr is rows_again and denom == denom_again == 6 and arr.dtype == np.int64
+        assert ps.scaled_integer()[0] is arr
+        assert np.array_equal(arr, rows)
+
+    def test_slow_path_rows_past_the_bounds(self):
+        ps = PointSet.from_points([(Fraction(1, (1 << 31) + 1), 0), (0, Fraction(1 << 41))])
+        rows, denom = ps._scaled_rows()
+        assert ps.scaled_integer() is None and ps._scaled_rows()[0] is rows
+        assert rows.dtype == object and denom == (1 << 31) + 1
+        assert rows.tolist() == [[1, 0], [0, (1 << 41) * denom]]
+
     @pytest.mark.parametrize(
         "rows, denom",
         [
