@@ -53,43 +53,39 @@ def infer_mode(coords: Iterable) -> str:
     return "float" if saw_float else "exact"
 
 
-def _coerce_point(raw: Sequence, mode: str) -> tuple:
-    if mode == "exact":
-        return tuple(value if isinstance(value, Fraction) else Fraction(value) for value in raw)
-    out = tuple(float(value) for value in raw)
-    for value in out:
-        if not math.isfinite(value):
-            raise PreconditionFailed("coordinates must be finite")
-    return out
-
-
-def _float_dup_key(point: tuple) -> tuple:
-    return tuple(round(c / DUPLICATE_RESOLUTION) for c in point)
-
-
 # Bounds of the int64 form of exact sets (see PointSet.scaled_integer).
 MAX_DENOMINATOR = 1 << 31
 MAX_NUMERATOR = 1 << 40
+
+
+def _fits(denom, lo, hi) -> bool:
+    """Whether integer rows with entries in [lo, hi] over denom take the int64 form."""
+    return denom <= MAX_DENOMINATOR and -MAX_NUMERATOR <= lo and hi <= MAX_NUMERATOR
 
 
 @dataclass
 class PointSet:
     """An ordered collection of distinct points in a common dimension.
 
-    Exact sets built from an integer array (lattices, Cantor products, split
-    pieces) are held as ``scaled_integer()`` and ``points`` is a lazy view of
-    them.  Treat instances as immutable after construction; the cached
-    arrays are shared between callers.
+    Every set holds one form, ``(rows, denominator)`` with coordinates
+    rows / denominator.  Exact sets keep integer rows over the lcm of the
+    coordinate denominators: int64 within MAX_DENOMINATOR and MAX_NUMERATOR,
+    Python ints in an object array past them.  Float sets keep float64 rows
+    over 1.0.  ``points`` and ``as_array()`` are views built on first use.
+    Every set is made by ``_from_scaled``; treat instances as immutable, since
+    the cached arrays are shared between callers.
     """
 
     dimension: int
     mode: str
+    _scaled: tuple = field(repr=False)
     _points: tuple | None = field(default=None, repr=False)
-    _array: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _scaled: tuple | None = field(default=None, repr=False, compare=False)
+    _array: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_points(cls, raw_points: Iterable[Sequence], mode: str | None = None) -> "PointSet":
+        """The set of the given coordinate tuples, checked by ``_from_scaled``;
+        exact input keeps its Fraction tuples as the ``points`` view."""
         rows = [tuple(r) for r in raw_points]
         if not rows:
             raise PreconditionFailed("a point set needs at least one point")
@@ -103,96 +99,108 @@ class PointSet:
             mode = infer_mode(c for r in rows for c in r)
         elif mode not in ("exact", "float"):
             raise PreconditionFailed(f"unknown mode {mode!r}")
-        pts = tuple(_coerce_point(r, mode) for r in rows)
-        seen = set()
-        for p in pts:
-            key = p if mode == "exact" else _float_dup_key(p)
-            if key in seen:
-                where = "" if mode == "exact" else f" at resolution {DUPLICATE_RESOLUTION}"
-                raise PreconditionFailed(f"duplicate point {p}{where}")
-            seen.add(key)
-        return cls(dimension=dimension, mode=mode, _points=pts)
+        try:
+            pts = (np.array(rows, dtype=np.float64) if mode == "float" else
+                   tuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in r) for r in rows))
+        except (TypeError, ValueError, OverflowError) as exc:  # strings, None; NaN and inf as exact
+            raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
+        if mode == "float":
+            return cls._from_scaled(pts, 1.0)
+        flat, denom = _over_common_denominator([c for p in pts for c in p])
+        ps = cls._from_scaled(flat.reshape(len(pts), dimension), denom)
+        ps._points = pts
+        return ps
 
     @classmethod
     def _from_scaled(cls, rows: np.ndarray, denom) -> "PointSet":
-        """The point set rows / denom, inverse of ``_scaled_rows``.  int64 rows
-        are checked like from_points input and against the int64 bounds, and
-        the denominator is reduced to the lcm of the coordinate denominators;
-        Python-int rows (the slow path) and float rows go through from_points."""
+        """The point set rows / denom; the one place points are checked.
+
+        Float rows must be finite and distinct at DUPLICATE_RESOLUTION; they
+        are stored divided by denom, over 1.0.  Integer rows must be distinct:
+        int64 rows within the bounds of scaled_integer(), Python-int (object)
+        rows also past them.  Both are reduced by their common gcd with denom,
+        so the denominator is the lcm of the coordinate denominators, and are
+        stored as int64 whenever the reduced rows fit.
+        """
         if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] < 2:
             raise PreconditionFailed("need a nonempty array of points in dimension at least 2")
-        if rows.dtype.kind == "f":
-            return cls.from_points((rows / denom).tolist(), mode="float")
-        if rows.dtype == object:
-            return cls.from_points([[Fraction(v, denom) for v in r] for r in rows.tolist()], mode="exact")
-        if rows.dtype.kind not in "iu" or not 1 <= denom <= MAX_DENOMINATOR or (
-                rows.min() < -MAX_NUMERATOR or rows.max() > MAX_NUMERATOR):
-            raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
-        g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
-        rows, denom = rows.astype(np.int64, order="C") // g, int(denom) // g
-        if len(_unique_rows([rows], int(np.abs(rows).max()), rows.shape[1])) < len(rows):
-            raise PreconditionFailed("duplicate point")
-        return cls(dimension=rows.shape[1], mode="exact", _scaled=(rows, denom))
+        mode = "float" if rows.dtype.kind == "f" else "exact"
+        if mode == "float":
+            rows, denom = np.asarray(rows / denom, dtype=np.float64), 1.0
+            with np.errstate(over="ignore"):
+                keys = np.round(rows / DUPLICATE_RESOLUTION)
+            if not np.isfinite(keys).all():
+                raise PreconditionFailed("coordinates must be finite and below "
+                                         f"{DUPLICATE_RESOLUTION * np.finfo(np.float64).max:.3g} in magnitude")
+            distinct = len(np.unique(keys, axis=0))
+        else:
+            if rows.dtype.kind not in "iuO" or denom < 1 or (
+                    rows.dtype != object and not _fits(denom, rows.min(), rows.max())):
+                raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
+            g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
+            rows, denom = rows // g, int(denom) // g
+            if rows.dtype != object or _fits(denom, rows.min(), rows.max()):
+                rows = rows.astype(np.int64, copy=False)
+            keys = rows
+            distinct = len(_unique_rows([rows], int(np.abs(rows).max()), rows.shape[1]))
+        ps = cls(dimension=rows.shape[1], mode=mode, _scaled=(rows, denom))
+        if distinct < len(rows):
+            seen = {}
+            i = next(i for i, key in enumerate(map(tuple, keys.tolist())) if seen.setdefault(key, i) != i)
+            where = f" at resolution {DUPLICATE_RESOLUTION}" if mode == "float" else ""
+            raise PreconditionFailed(f"duplicate point {ps.points[i]}{where}")
+        return ps
 
     @property
     def points(self) -> tuple:
-        """Coordinate tuples; array-held sets build them on first use, with one
-        shared Fraction per distinct value of a column."""
+        """Coordinate tuples, built on first use: floats for float sets, and
+        for exact sets one shared Fraction per distinct value of a column."""
         if self._points is None:
-            arr, denom = self._scaled
-            cols = []
-            for col in arr.T:
-                values, inverse = np.unique(col, return_inverse=True)
-                shared = np.array([Fraction(v, denom) for v in values.tolist()], dtype=object)
-                cols.append(shared[inverse].tolist())
-            self._points = tuple(zip(*cols))
+            rows, denom = self._scaled
+            if self.mode == "float":
+                self._points = tuple(map(tuple, rows.tolist()))
+            else:
+                cols = []
+                for col in rows.T:
+                    values, inverse = np.unique(col, return_inverse=True)
+                    shared = np.array([Fraction(v, denom) for v in values.tolist()], dtype=object)
+                    cols.append(shared[inverse].tolist())
+                self._points = tuple(zip(*cols))
         return self._points
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet) and (self.dimension, self.mode, self.points) == (
-            other.dimension, other.mode, other.points)
+        return (isinstance(other, PointSet) and self.mode == other.mode and self._scaled[1] == other._scaled[1]
+                and np.array_equal(self._scaled[0], other._scaled[0]))
 
     def __len__(self) -> int:
-        return len(self._scaled[0]) if self._points is None else len(self._points)
+        return len(self._scaled[0])
 
     def __iter__(self):
         return iter(self.points)
 
     def as_array(self) -> np.ndarray:
-        """Float64 view of the coordinates, cached after the first call.  For
-        array-held sets it is array / denominator: both are below 2^53, so
-        each entry equals float() of its Fraction bit for bit."""
+        """Float64 view rows / denominator, cached.  Each entry equals float() of
+        its Fraction bit for bit: int64 entries and denominators are below
+        2^53, and Python-int division is correctly rounded."""
         if self._array is None:
-            self._array = (self._scaled[0] / self._scaled[1] if self._points is None else
-                           np.array([[float(c) for c in p] for p in self.points], dtype=np.float64))
+            rows, denom = self._scaled
+            self._array = rows if self.mode == "float" else np.asarray(rows / denom, dtype=np.float64)
         return self._array
 
     def scaled_integer(self) -> tuple[np.ndarray, int] | None:
-        """Integer coordinates over a common denominator, when small enough.
-
-        Returns the cached ``_scaled_rows()`` when they are int64: array =
+        """The stored ``(rows, denominator)`` when the rows are int64: rows =
         denominator * points, with the denominator the lcm of the coordinate
         denominators.  None for float sets and for exact sets past the bounds
         (denominator above MAX_DENOMINATOR or an entry above MAX_NUMERATOR in
         magnitude).
         """
-        if self.mode != "exact":
-            return None
-        scaled = self._scaled_rows()
-        return scaled if scaled[0].dtype == np.int64 else None
+        return self._scaled if self._scaled[0].dtype == np.int64 else None
 
     def _scaled_rows(self) -> tuple[np.ndarray, int | float]:
-        """(rows, denominator) with rows / denominator the coordinates, cached.
-
-        Float sets give (as_array(), 1.0).  Exact sets give integer rows over
-        the lcm of the coordinate denominators: int64 within the bounds of
-        scaled_integer(), past them the slow path, Python ints in an object
+        """The stored ``(rows, denominator)``: float64 rows over 1.0 for float
+        sets; for exact sets integer rows, int64 within the bounds of
+        scaled_integer() and past them the slow path, Python ints in an object
         array."""
-        if self.mode == "float":
-            return self.as_array(), 1.0
-        if self._scaled is None:
-            flat, denom = _over_common_denominator([c for p in self.points for c in p])
-            self._scaled = (flat.reshape(len(self), self.dimension), denom)
         return self._scaled
 
 
@@ -202,8 +210,7 @@ def _over_common_denominator(values: list) -> tuple[np.ndarray, int]:
     them.  The one place exact values become integers."""
     denom = math.lcm(*{v.denominator for v in values})
     ints = [v.numerator * (denom // v.denominator) for v in values]
-    fits = denom <= MAX_DENOMINATOR and -MAX_NUMERATOR <= min(ints) and max(ints) <= MAX_NUMERATOR
-    return np.array(ints, dtype=np.int64 if fits else object), denom
+    return np.array(ints, dtype=np.int64 if _fits(denom, min(ints), max(ints)) else object), denom
 
 
 # Target row count for one block of pair differences.
@@ -490,7 +497,7 @@ def read_point_set(path) -> PointSet:
                     rows.append(tuple(Fraction(t) for t in tokens))
                 else:
                     rows.append(tuple(float(t) for t in tokens))
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"line {lineno}: bad token") from exc
         if len(rows) != count:
             raise FormatError(f"expected {count} points, found {len(rows)}")

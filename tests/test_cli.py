@@ -298,6 +298,12 @@ class TestExperimentAndErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "bad.txt", "2 2 exact\n0 0\n1/0 1\n")
+        code, _, err = run_cli(capsys, "directions", "count", points)
+        assert code == 2
+        assert "error:" in err and "line 3" in err
+
     def test_degenerate_input_reported(self, tmp_path, capsys):
         points = write_points(tmp_path, "one.txt", "2 1 exact\n0 0\n")
         code, _, err = run_cli(capsys, "directions", "count", points)

@@ -233,7 +233,7 @@ class TestArrayBuiltSets:
             (3, 3, Fraction(1, 4), 2),
             (2, 2, Fraction(2, 5), 4),
             (2, 5, Fraction(1, 6), 2),
-            # denominator 10^12, past the int64 form: built with from_points
+            # denominator 10^12, past the int64 form: Python-int rows
             (2, 2, Fraction(4999, 10000), 3),
         ],
     )

@@ -229,6 +229,43 @@ class TestPointSet:
         ps = PointSet.from_points([(Fraction(1, 4), 1)])
         assert ps.as_array().tolist() == [[0.25, 1.0]]
 
+    def test_duplicate_messages_name_the_point(self):
+        with pytest.raises(PreconditionFailed, match=r"duplicate point \(0\.0, 1e-14\) at resolution 1e-12"):
+            PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1e-14)])
+        with pytest.raises(PreconditionFailed, match=r"duplicate point \(Fraction\(1, 2\), Fraction\(1, 1\)\)$"):
+            PointSet.from_points([(Fraction(1, 2), 1), (0, 0), (Fraction(2, 4), 1)])
+
+    def test_float_near_duplicates_across_zero_rejected(self):
+        # -1e-14 and 1e-14 snap to -0.0 and 0.0, which must compare equal
+        with pytest.raises(PreconditionFailed, match="duplicate"):
+            PointSet.from_points([(0.0, -1e-14), (0.0, 1e-14)])
+
+    @pytest.mark.parametrize(
+        "bad, mode",
+        [(math.nan, None), (math.inf, None), (-math.inf, None), (1e300, None), (math.nan, "exact"), (math.inf, "exact"),
+         ("abc", "exact"), ("abc", "float")],
+    )
+    def test_bad_coordinates_rejected(self, bad, mode):
+        # 1e300 / DUPLICATE_RESOLUTION overflows the float duplicate snap
+        with pytest.raises(PreconditionFailed, match="finite"):
+            PointSet.from_points([(bad, 0.0), (2.0, 0.0)], mode=mode)
+
+    def test_huge_denominators_build_without_hashing_fractions(self, monkeypatch):
+        """A Fraction whose denominator is divisible by 2^61-1, the hash
+        modulus, hashes like +-infinity, so a Fraction-keyed duplicate check
+        is quadratic on them."""
+        p = (1 << 61) - 1
+        pts = [(Fraction(3 * i + 1, p), Fraction(i * i, p)) for i in range(200)]
+
+        def no_hash(self):
+            raise AssertionError("a Fraction was hashed")
+
+        monkeypatch.setattr(Fraction, "__hash__", no_hash)
+        ps = PointSet.from_points(pts)
+        assert len(ps) == 200 and ps.scaled_integer() is None and ps._scaled_rows()[1] == p
+        with pytest.raises(PreconditionFailed, match="duplicate"):
+            PointSet.from_points(pts + [pts[17]])
+
 
 class TestScaledConstructor:
     """PointSet._from_scaled validates as from_points does, plus int64 bounds."""
@@ -279,6 +316,29 @@ class TestScaledConstructor:
         assert arr is rows_again and denom == denom_again == 6 and arr.dtype == np.int64
         assert ps.scaled_integer()[0] is arr
         assert np.array_equal(arr, rows)
+
+    def test_object_rows_that_fit_are_stored_as_int64(self):
+        ps = PointSet._from_scaled(np.array([[2, 4], [6, 0]], dtype=object), 1 << 32)
+        arr, denom = ps.scaled_integer()
+        assert arr.dtype == np.int64 and denom == 1 << 31 and arr.tolist() == [[1, 2], [3, 0]]
+        assert ps == PointSet.from_points([(Fraction(1, 1 << 31), Fraction(1, 1 << 30)), (Fraction(3, 1 << 31), 0)])
+
+    @pytest.mark.parametrize(
+        "denom, span",
+        [(3 * 7 * 11, 1 << 20), ((1 << 31) - 1, 1 << 40), ((1 << 61) - 1, 1 << 70), (10**30 + 7, 10**40)],
+    )
+    def test_as_array_equals_float_of_each_fraction(self, denom, span):
+        rng = np.random.default_rng(denom % 1000)
+        rows = [[int(v) * (span // 1000) + int(w) for v, w in zip(r, rng.integers(0, 997, 3))]
+                for r in rng.integers(-1000, 1000, size=(40, 3))]
+        ps = PointSet.from_points([[Fraction(v, denom) for v in r] for r in rows])
+        assert (ps.scaled_integer() is None) == (denom > 1 << 31 or span > 1 << 40)
+        want = np.array([[float(c) for c in p] for p in ps.points], dtype=np.float64)
+        assert ps.as_array().tobytes() == want.tobytes()
+        # a set made from its rows builds its own views
+        again = PointSet._from_scaled(*ps._scaled_rows())
+        assert again == ps and again.points == ps.points
+        assert again.as_array().tobytes() == want.tobytes()
 
     def test_slow_path_rows_past_the_bounds(self):
         ps = PointSet.from_points([(Fraction(1, (1 << 31) + 1), 0), (0, Fraction(1 << 41))])
@@ -346,6 +406,12 @@ class TestPointSetFiles:
         path = tmp_path / "bad.txt"
         path.write_text("2 2 exact\n0 0\n1 x\n")
         with pytest.raises(FormatError):
+            read_point_set(path)
+
+    def test_zero_denominator_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 exact\n0 0\n1/0 1\n")
+        with pytest.raises(FormatError, match="line 3"):
             read_point_set(path)
 
     def test_unknown_mode_rejected(self, tmp_path):
