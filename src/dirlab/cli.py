@@ -63,6 +63,13 @@ def _number(text: str):
         return float(text)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DirlabError(f"{text!r} is not a number a, a.b or a/b with b != 0") from None
+
+
 def _write_points(args, P, kind: str) -> int:
     if args.to is None and getattr(args, "out", None):
         args.to = str(Path(args.out) / f"{kind}.txt")
@@ -87,12 +94,12 @@ def _cmd_generate_garnett(args):
 
 
 def _cmd_generate_ifs(args):
-    ratio = Fraction(args.ratio)
+    ratio = _fraction(args.ratio)
     offsets = []
     for block in args.offsets.split(";"):
         block = block.strip()
         if block:
-            offsets.append(tuple(Fraction(tok) for tok in block.split(",")))
+            offsets.append(tuple(_fraction(tok) for tok in block.split(",")))
     if not offsets:
         raise DirlabError("need at least one offset, given as 'a,b;c,d;...'")
     d = len(offsets[0])
@@ -109,7 +116,7 @@ def _cmd_generate_graph(args):
 
 
 def _cmd_generate_cantor(args):
-    ratio = Fraction(args.ratio) if args.ratio is not None else None
+    ratio = _fraction(args.ratio) if args.ratio is not None else None
     P = product_cantor(args.d, s=args.s, depth=args.depth, m=args.m, ratio=ratio)
     return _write_points(args, P, "cantor")
 

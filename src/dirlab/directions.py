@@ -45,19 +45,21 @@ class DirectionCensus:
         return len(self.keys)
 
 
-def _first_nonzero_sign(rows: np.ndarray) -> np.ndarray:
+def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
+    """Rows times the sign of their first nonzero entry."""
     sign = np.zeros(len(rows), dtype=rows.dtype)
-    for j in range(rows.shape[1]):
+    for col in rows.T:
         undecided = sign == 0
         if not undecided.any():
             break
-        sign[undecided] = np.sign(rows[undecided, j])
-    return sign
-
-
-def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
-    sign = _first_nonzero_sign(rows)
+        sign[undecided] = np.sign(col[undecided])
     return rows * sign[:, None]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows over their norms, squares summed left to right so each row
+    equals DirectionKey.unit_vector() bit for bit."""
+    return rows / np.sqrt(sum(col * col for col in rows.T))[:, None]
 
 
 def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
@@ -78,8 +80,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
             if exact:
                 q = diffs // np.gcd.reduce(np.abs(diffs), axis=1)[:, None]
             else:
-                unit = diffs / np.sqrt((diffs * diffs).sum(axis=1))[:, None]
-                q = np.rint(unit / DIRECTION_RESOLUTION).astype(np.int64)
+                q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
             yield _flip_to_canonical(q) if antipodal else np.vstack([q, -q])
 
     if exact:
@@ -157,7 +158,6 @@ class CoverageGrid:
     cells_per_side: int
     cells: dict
     n_pairs: int
-    chart: str = "cube-face"
 
     @property
     def total_cells(self) -> int:
@@ -192,6 +192,19 @@ def _face_decompose(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return face, other
 
 
+def _chart_codes(face: np.ndarray, other: np.ndarray, pitch: float):
+    """Cell codes and in-face indices at one pitch.  A code packs (face,
+    idx_0, ..., idx_{d-2}) in base m = ceil(2/pitch), so codes sort as those
+    tuples do; they are Python ints when 2d*m^(d-1) cells outgrow int64."""
+    d = other.shape[1] + 1
+    m = max(1, math.ceil(2 / pitch))
+    idx = np.clip(((other + 1.0) / pitch).astype(np.int64), 0, m - 1)
+    code = face.astype(np.int64 if 2 * d * m ** (d - 1) <= 1 << 63 else object)
+    for j in range(d - 1):
+        code = code * m + idx[:, j]
+    return code, idx
+
+
 def sphere_coverage_sweep(
     P: PointSet, eps_list, antipodal: bool = True
 ) -> list[CoverageGrid]:
@@ -216,20 +229,15 @@ def sphere_coverage_sweep(
     ]
 
     for diffs, mult in _pair_differences(P.as_array()):
-        norms = np.sqrt((diffs * diffs).sum(axis=1))
-        unit = diffs / norms[:, None]
+        unit = _unit_rows(diffs)
         if antipodal:
             unit = _flip_to_canonical(unit)
         else:
             unit = np.vstack([unit, -unit])
             mult = np.concatenate([mult, mult])
         face, other = _face_decompose(unit)
-        shifted = other + 1.0
-        for eps, m, acc in zip(eps_list, sides, accums):
-            idx = np.clip((shifted / eps).astype(np.int64), 0, m - 1)
-            code = face.astype(np.int64)
-            for j in range(d - 1):
-                code = code * m + idx[:, j]
+        for eps, acc in zip(eps_list, accums):
+            code, _ = _chart_codes(face, other, eps)
             if isinstance(acc, Counter):
                 acc.update(_group_sums(code, mult))
             else:
@@ -275,70 +283,56 @@ class SeparatedSubset:
     color_classes: int
 
 
-def _chart_cells(units: np.ndarray, pitch: float) -> list[tuple]:
-    k, d = units.shape
-    m = max(1, math.ceil(2 / pitch))
-    face, other = _face_decompose(units)
-    idx = np.clip(((other + 1.0) / pitch).astype(np.int64), 0, m - 1)
-    return [
-        (int(face[i]),) + tuple(int(v) for v in idx[i])
-        for i in range(k)
-    ]
+def _greedy(units: np.ndarray, kept: list, candidates: list, delta: float) -> list:
+    """kept, then each candidate in order whose unit lies at least delta
+    from every unit kept so far."""
+    chosen = list(kept)
+    buf = np.empty((len(chosen) + len(candidates), units.shape[1]))
+    buf[: len(chosen)] = units[chosen]
+    for pos in candidates:
+        n = len(chosen)
+        if n and np.linalg.norm(buf[:n] - units[pos], axis=1).min() < delta:
+            continue
+        buf[n] = units[pos]
+        chosen.append(pos)
+    return chosen
 
 
 def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     """Greedy checkerboard selection of keys at Euclidean separation delta.
 
-    Cells of an internal chart grid are 2^(d-1)-colored by index parity;
-    the best color class survives a cross-face cleanup pass, then grows by
-    any remaining keys that respect the separation.  If the class falls
-    below occupied/2^(d-1) the grid is coarsened and retried, so the
-    reported occupied count always matches the pitch in the result.
+    Keys are taken in rep order and binned on the coverage chart; each
+    occupied cell keeps its first key and takes one of 2^(d-1) parity
+    colors.  One greedy keeps each color class in cell order; the largest
+    class then grows by the remaining keys, in order, that respect the
+    separation.  If it falls below occupied/2^(d-1) the grid is coarsened
+    and retried, so the reported occupied count always matches the pitch.
     """
     if not (0 < delta <= 1):
         raise PreconditionFailed(f"separation {delta} outside (0, 1]")
     keys = sorted(census.keys, key=lambda key: key.rep)
-    units = np.array([key.unit_vector() for key in keys], dtype=np.float64)
+    units = _unit_rows(np.array([key.rep for key in keys], dtype=np.float64))
     d = units.shape[1]
     n_classes = 2 ** (d - 1)
     pitch = (d + 1) * delta
+    face, other = _face_decompose(units)
 
     while True:
-        cells = {}
-        for pos, cell in enumerate(_chart_cells(units, pitch)):
-            cells.setdefault(cell, pos)
-        occupied = len(cells)
-        need = math.ceil(occupied / n_classes)
-
-        classes: dict[tuple, list[int]] = {}
-        for cell in sorted(cells):
-            sigma = tuple(v % 2 for v in cell[1:])
-            classes.setdefault(sigma, []).append(cells[cell])
-
+        codes, idx = _chart_codes(face, other, pitch)
+        _, first = np.unique(codes, return_index=True)
+        occupied = len(first)
+        # parity class of each cell, the first index as the top bit
+        sigma = (idx[first] % 2) @ (1 << np.arange(d - 2, -1, -1))
         best: list[int] = []
-        for sigma in sorted(classes):
-            kept: list[int] = []
-            for pos in classes[sigma]:
-                if kept:
-                    gaps = np.linalg.norm(units[kept] - units[pos], axis=1)
-                    if gaps.min() < delta:
-                        continue
-                kept.append(pos)
+        for s in np.unique(sigma):
+            kept = _greedy(units, [], first[sigma == s].tolist(), delta)
             if len(kept) > len(best):
                 best = kept
 
-        if len(best) >= need:
-            chosen = list(best)
-            members = set(chosen)
-            for pos in range(len(keys)):
-                if pos in members:
-                    continue
-                gaps = np.linalg.norm(units[chosen] - units[pos], axis=1)
-                if gaps.min() >= delta:
-                    chosen.append(pos)
-                    members.add(pos)
+        if len(best) >= math.ceil(occupied / n_classes):
+            rest = np.setdiff1d(np.arange(len(keys)), best).tolist()
             return SeparatedSubset(
-                keys=[keys[pos] for pos in chosen],
+                keys=[keys[pos] for pos in _greedy(units, best, rest, delta)],
                 delta=delta,
                 pitch=pitch,
                 occupied_cells=occupied,

@@ -121,6 +121,8 @@ def _axis_grid(g: int) -> list[Fraction]:
 
 
 def _grid_side(d: int, n: int) -> int:
+    if n > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"{n} exceeds the {DEFAULT_POINT_CAP} point cap")
     g = 1
     while (g + 1) ** (d - 1) <= n:
         g += 1

@@ -263,13 +263,14 @@ def stopping_time_split(
     the most coordinates wins, then the heavier, then index order.  With
     no qualifying pair, recursion descends into the heaviest child.
 
-    Exact sets run on integer rows over their denominator D: at level L an
-    atom keeps rel = D * 4^(L-1) * (x - cube origin) <= D, its child index is
-    clip(4 * rel // D, 0, 3) and the descent sets rel to 4 * rel - index * D.
-    Rows are int64 within the bounds of PointSet.scaled_integer() and Python
-    ints past them.  Child masses are exact (counts times the shared mass,
-    or integer numerators over a common denominator) or float sums in atom
-    order.
+    The search runs on PointSet._scaled_rows() over their denominator D (1.0
+    for float rows): at level L an atom keeps rel = D * 4^(L-1) * (x - cube
+    origin) <= D, its child index is clip(4 * rel // D, 0, 3) and the descent
+    sets rel to 4 * rel - index * D, exactly for floats too (Sterbenz's
+    lemma).  Exact rows are int64 within the bounds of scaled_integer() and
+    Python ints past them.  Child masses are exact (counts times the shared
+    mass, or integer numerators over a common denominator) or float sums in
+    atom order.
     """
     d = mu.base.dimension
     if c is None:
@@ -294,11 +295,7 @@ def stopping_time_split(
     index, rel = np.arange(len(rows)), rows  # atoms of mu inside the current cube
 
     for level in range(1, max_depth + 1):
-        if mu.base.mode == "exact":
-            child = np.clip((4 * rel) // denom, 0, 3).astype(np.int64)
-        else:
-            shifted = (rel - np.array(origin)) * (4.0 / side)
-            child = np.clip(np.floor(shifted).astype(np.int64), 0, 3)
+        child = np.clip((4 * rel) // denom, 0, 3).astype(np.int64)
         code = child @ powers
         codes = _sorted_unique(code)
         inverse = np.searchsorted(codes, code)
@@ -353,8 +350,7 @@ def stopping_time_split(
         cube_mass = child_mass[key]
         keep = inverse == keys.index(key)
         index, rel = index[keep], rel[keep]
-        if mu.base.mode == "exact":
-            rel = 4 * rel - np.array(key, dtype=rel.dtype) * denom
+        rel = 4 * rel - np.array(key, dtype=rel.dtype) * denom
 
     raise DepthExhausted(max_depth)
 

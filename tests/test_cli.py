@@ -304,6 +304,28 @@ class TestExperimentAndErrors:
         assert code == 2
         assert "error:" in err and "line 3" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cantor", "--d", "2", "--depth", "2", "--m", "3", "--ratio", "abc"],
+            ["cantor", "--d", "2", "--depth", "2", "--m", "3", "--ratio", "1/0"],
+            ["ifs", "--ratio", "1/0", "--offsets", "0,0", "--depth", "1"],
+            ["ifs", "--ratio", "1/4", "--offsets", "0,x", "--depth", "1"],
+        ],
+        ids=["cantor-abc", "cantor-1/0", "ifs-1/0", "ifs-offset-x"],
+    )
+    def test_bad_fraction_token_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2
+        assert err.startswith("error:") and "is not a number" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("kind", ["hyperplane", "graph"])
+    def test_grid_sample_point_cap_is_usage_error(self, capsys, kind):
+        code, _, err = run_cli(capsys, "generate", kind, "--d", "3", "--n", "100000000")
+        assert code == 2
+        assert "error:" in err and "point cap" in err
+
     def test_degenerate_input_reported(self, tmp_path, capsys):
         points = write_points(tmp_path, "one.txt", "2 1 exact\n0 0\n")
         code, _, err = run_cli(capsys, "directions", "count", points)

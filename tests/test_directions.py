@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,6 +19,7 @@ from conftest import (
     random_rational_points,
     refuse_pair_loop,
 )
+import reference_subset
 from dirlab import (
     geometry,
     LatticeSpec,
@@ -34,6 +35,7 @@ from dirlab import (
     sphere_coverage,
     sphere_coverage_sweep,
 )
+from dirlab.directions import _unit_rows
 
 point_sets = st.lists(
     st.tuples(
@@ -401,3 +403,140 @@ class TestSeparatedSubset:
             separated_subset(census, 0.0)
         with pytest.raises(PreconditionFailed):
             separated_subset(census, 1.5)
+
+
+def assert_subset_matches_reference(census, delta):
+    got = separated_subset(census, delta)
+    want = reference_subset.separated_subset(census, delta)
+    assert [k.rep for k in got.keys] == [k.rep for k in want.keys]
+    assert got.keys == want.keys
+    assert (got.delta, got.pitch, got.occupied_cells, got.color_classes) == (
+        want.delta, want.pitch, want.occupied_cells, want.color_classes)
+
+
+@st.composite
+def small_censuses(draw):
+    """Census of 2-12 exact (k/den) or float points in d in {2, 3}, either sign."""
+    d = draw(st.sampled_from((2, 3)))
+    den = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, den)] * d),
+                          min_size=2, max_size=12, unique=True))
+    pts = [tuple(Fraction(k, den) for k in cell) for cell in cells]
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(0, 1e-3), min_size=len(pts) * d, max_size=len(pts) * d))
+        pts = [tuple(float(c) + jitter[i * d + j] for j, c in enumerate(p))
+               for i, p in enumerate(pts)]
+    return distinct_directions(PointSet.from_points(pts), antipodal=draw(st.booleans()))
+
+
+def unit_gaps(census):
+    """Distinct gaps |u - v| between census units, computed as the greedy does."""
+    units = np.array([k.unit_vector() for k in census.keys])
+    return np.unique(np.concatenate(
+        [np.linalg.norm(units[:i] - units[i], axis=1) for i in range(1, len(units))]))
+
+
+class TestSubsetAgainstReference:
+    """separated_subset against the per-key implementation in reference_subset.py."""
+
+    @given(small_censuses(), st.sampled_from((0.01, 0.05, 0.1, 0.2, 0.35, 0.7, 1.0)))
+    def test_matches_reference(self, census, delta):
+        assert_subset_matches_reference(census, delta)
+
+    @given(small_censuses(), st.data())
+    def test_delta_at_a_unit_gap(self, census, data):
+        """delta equal to a computed gap and one ulp either side of it."""
+        assume(census.count > 1)
+        gaps = unit_gaps(census)
+        gaps = gaps[(gaps > 0) & (gaps <= 1)]
+        assume(len(gaps))
+        gap = data.draw(st.sampled_from(gaps.tolist()))
+        for delta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)):
+            assert_subset_matches_reference(census, float(delta))
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    @pytest.mark.parametrize("q,d", [(6, 2), (3, 3)])
+    def test_lattice_gaps(self, q, d, antipodal):
+        census = distinct_directions(lattice_set(LatticeSpec(q=q, d=d)), antipodal)
+        gaps = unit_gaps(census)
+        for gap in gaps[gaps <= 1][:: max(1, len(gaps) // 12)]:
+            for delta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)):
+                assert_subset_matches_reference(census, float(delta))
+
+    def test_codes_past_int64(self):
+        """d = 8 at delta 1e-4 has 16 * 2223^7 chart cells, past int64 codes."""
+        rng = random.Random(8)
+        census = distinct_directions(PointSet.from_points(random_rational_points(rng, 9, 8)), True)
+        for delta in (1e-4, 0.05):
+            assert_subset_matches_reference(census, delta)
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    @pytest.mark.parametrize("kind", ["exact", "past-2^53", "float"])
+    def test_unit_rows_equal_unit_vector(self, kind, d):
+        rng = random.Random(d)
+        if kind == "float":
+            pts = [tuple(rng.random() for _ in range(d)) for _ in range(8)]
+        else:
+            top = 1 << 70 if kind == "past-2^53" else 50
+            pts = [tuple(rng.randrange(-top, top) for _ in range(d)) for _ in range(8)]
+        census = distinct_directions(PointSet.from_points(pts), False)
+        keys = sorted(census.keys, key=lambda k: k.rep)
+        if kind == "past-2^53":
+            assert max(abs(v) for k in keys for v in k.rep) > 1 << 53
+        got = _unit_rows(np.array([k.rep for k in keys], dtype=np.float64))
+        want = np.array([k.unit_vector() for k in keys])
+        assert got.tobytes() == want.tobytes()
+        assert_subset_matches_reference(census, 0.05)
+
+
+def oracle_coverage(ps, eps, antipodal):
+    """{cell code: hits} over pairs, one pair at a time in Python floats."""
+    pts = ps.as_array().tolist()
+    m = math.ceil(2 / eps)
+    cells = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        diff = [a - b for a, b in zip(pts[i], pts[j])]
+        lead = next(v for v in diff if v != 0)
+        if antipodal and lead < 0:
+            diff = [-v for v in diff]
+        for sign in (1,) if antipodal else (1, -1):
+            norm = math.sqrt(sum(v * v for v in diff))
+            u = [sign * v / norm for v in diff]
+            a = max(range(len(u)), key=lambda k: abs(u[k]))
+            code = 2 * a + (u[a] > 0)
+            for k, v in enumerate(u):
+                if k != a:
+                    code = code * m + min(m - 1, max(0, int((v / abs(u[a]) + 1) / eps)))
+            cells[code] = cells.get(code, 0) + 1
+    return cells
+
+
+class TestCoverageAgainstOracle:
+    """Both hit accumulators (dense array, Counter past 2^26 cells) per pair."""
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    @pytest.mark.parametrize("kind", ["exact", "float", "product"])
+    @pytest.mark.parametrize("eps", [5e-4, 0.05], ids=["counter", "dense"])
+    def test_cells_match_oracle(self, eps, kind, antipodal):
+        rng = random.Random(25)
+        if kind == "product":
+            pts = [(Fraction(a, 4), Fraction(b, 4), Fraction(1, 2))
+                   for a in range(5) for b in range(5)]
+        elif kind == "exact":
+            pts = random_rational_points(rng, 25, 3, denom=97)
+        else:
+            pts = [tuple(rng.random() for _ in range(3)) for _ in range(25)]
+        ps = PointSet.from_points(pts)
+        grid = sphere_coverage(ps, eps, antipodal=antipodal)
+        assert (grid.total_cells > 1 << 26) == (eps < 0.01)
+        assert grid.cells == oracle_coverage(ps, eps, antipodal)
+
+    def test_codes_past_int64(self):
+        """d = 8 at eps 0.005 has 16 * 400^7 cells: codes stay exact and decode."""
+        ps = PointSet.from_points(random_rational_points(random.Random(88), 12, 8))
+        grid = sphere_coverage(ps, 0.005, antipodal=False)
+        assert grid.total_cells > 1 << 63
+        assert grid.cells == oracle_coverage(ps, 0.005, False)
+        for code in grid.cells:
+            axis, sign, *idx = grid.decode_cell(code)
+            assert 0 <= axis < 8 and sign in (-1, 1) and all(0 <= i < 400 for i in idx)

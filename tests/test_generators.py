@@ -23,7 +23,7 @@ from dirlab import (
     cantor_line_system,
     product_cantor,
 )
-from dirlab.generators import _ifs_orbit
+from dirlab.generators import DEFAULT_POINT_CAP, _grid_side, _ifs_orbit
 
 
 def in_unit_cube(ps):
@@ -166,6 +166,16 @@ class TestSurfaceSamples:
     def test_graph_dimension_cap(self):
         with pytest.raises(PreconditionFailed):
             lipschitz_graph_sample(6, 100)
+
+    @pytest.mark.parametrize("sample", [hyperplane_sample, lipschitz_graph_sample])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [DEFAULT_POINT_CAP + 1, 10**8, 10**30])
+    def test_point_cap_enforced(self, sample, d, n):
+        with pytest.raises(SizeLimit, match=f"{n} exceeds the {DEFAULT_POINT_CAP} point cap"):
+            sample(d, n)
+
+    def test_point_cap_itself_allowed(self):
+        assert _grid_side(3, DEFAULT_POINT_CAP) == 1000
 
 
 class TestProductCantor:
