@@ -101,16 +101,8 @@ def primitive_count(q: int, d: int) -> int:
     if q < 1 or d < 2:
         raise PreconditionFailed("need q >= 1 and d >= 2")
     side = q + 1
-    total = 0
-    if side**d <= 50_000_000:
-        grid = np.indices((side,) * d).reshape(d, -1)
-        total = int(np.count_nonzero(np.gcd.reduce(grid, axis=0) == 1))
-    else:
-        rest = np.indices((side,) * (d - 1)).reshape(d - 1, -1)
-        tail = np.gcd.reduce(rest, axis=0)
-        for first in range(side):
-            total += int(np.count_nonzero(np.gcd(first, tail) == 1))
-    return total
+    tail = np.gcd.reduce(np.indices((side,) * (d - 1)).reshape(d - 1, -1), axis=0)
+    return sum(int(np.count_nonzero(np.gcd(first, tail) == 1)) for first in range(side))
 
 
 @dataclass(frozen=True)
@@ -192,12 +184,19 @@ def _face_decompose(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return face, other
 
 
+def _chart_side(pitch: float) -> int:
+    """Cells per face side, ceil(2/pitch); refused past int64, the in-face index dtype."""
+    if not 2 / pitch < 1 << 63:
+        raise PreconditionFailed(f"cell pitch {pitch} is too fine: ceil(2/pitch) cells per side pass int64")
+    return max(1, math.ceil(2 / pitch))
+
+
 def _chart_codes(face: np.ndarray, other: np.ndarray, pitch: float):
     """Cell codes and in-face indices at one pitch.  A code packs (face,
-    idx_0, ..., idx_{d-2}) in base m = ceil(2/pitch), so codes sort as those
-    tuples do; they are Python ints when 2d*m^(d-1) cells outgrow int64."""
+    idx_0, ..., idx_{d-2}) in base m = _chart_side(pitch), so codes sort as
+    those tuples do; they are Python ints when 2d*m^(d-1) cells outgrow int64."""
     d = other.shape[1] + 1
-    m = max(1, math.ceil(2 / pitch))
+    m = _chart_side(pitch)
     idx = np.clip(((other + 1.0) / pitch).astype(np.int64), 0, m - 1)
     code = face.astype(np.int64 if 2 * d * m ** (d - 1) <= 1 << 63 else object)
     for j in range(d - 1):
@@ -219,7 +218,7 @@ def sphere_coverage_sweep(
     if n < 2:
         raise PreconditionFailed("need at least two points for directions")
     d = P.dimension
-    sides = [math.ceil(2 / eps) for eps in eps_list]
+    sides = [_chart_side(eps) for eps in eps_list]
     totals = [2 * d * m ** (d - 1) for m in sides]
     # dense hit arrays up to the limit, counter dicts for finer grids
     dense_limit = 1 << 26

@@ -23,7 +23,7 @@ from .directions import distinct_directions, separated_subset, sphere_coverage
 from .errors import DirlabError, PreconditionFailed
 from .fitting import FitResult, fit_power_law
 from .generators import garnett_system, hyperplane_sample, ifs_approximant
-from .generators import LatticeSpec, lattice_set, product_cantor
+from .generators import LatticeSpec, _cantor_dimension, lattice_set, product_cantor
 from .geometry import PointSet, collinearity_rank
 from .measure import is_adaptable, slope_band_sweep, uniform_weights
 
@@ -284,7 +284,7 @@ def run_slope_band(
     leave the exponent reported verdict-free.
     """
     ratio = Fraction(ratio)
-    s = d * math.log(m) / math.log(1 / ratio)
+    s = _cantor_dimension(d, m, ratio)
     P = product_cantor(d, depth=depth, m=m, ratio=ratio)
     mu = uniform_weights(P, s=s)
     report = slope_band_sweep(mu, s, eps_list, c=c)
@@ -383,23 +383,22 @@ def _section_plan(name: str, options: dict):
     if kind == "garnett_decay":
         depths = take("depths", _ints)
         return lambda: run_garnett_decay(depths)
-    if kind == "adaptable_directions":
+    if kind in ("adaptable_directions", "slope_band"):
         d = take("d", int)
         m = take("m", int)
         ratio = take("ratio", Fraction)
         depth = take("depth", int)
-        s = d * math.log(m) / math.log(1 / ratio)
+        try:
+            s = _cantor_dimension(d, m, ratio)
+        except PreconditionFailed as exc:
+            raise PreconditionFailed(f"section [{name}]: {exc}") from None
+        if kind == "adaptable_directions":
 
-        def _adaptable():
-            P = product_cantor(d, depth=depth, m=m, ratio=ratio)
-            return run_adaptable_directions(P, s, label=name)
+            def _adaptable():
+                P = product_cantor(d, depth=depth, m=m, ratio=ratio)
+                return run_adaptable_directions(P, s, label=name)
 
-        return _adaptable
-    if kind == "slope_band":
-        d = take("d", int)
-        m = take("m", int)
-        ratio = take("ratio", Fraction)
-        depth = take("depth", int)
+            return _adaptable
         eps_list = take("eps_list", _floats)
         c = take("c", float, None)
         return lambda: run_slope_band(

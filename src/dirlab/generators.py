@@ -6,7 +6,6 @@ canonical (lexicographic) order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionFailed, SizeLimit
-from .geometry import PointSet, _over_common_denominator
+from .geometry import PointSet, _fits, _lowest_terms, _unique_rows
 
 DEFAULT_POINT_CAP = 10**6
 
@@ -69,20 +68,26 @@ def garnett_system() -> IfsSystem:
     return IfsSystem(dimension=2, maps=maps)
 
 
-def _ifs_orbit(system: IfsSystem, depth: int, cap: int) -> list[tuple]:
+def _ifs_orbit(system: IfsSystem, depth: int, cap: int) -> tuple[np.ndarray, int]:
+    """Orbit rows over their denominator, lexicographic and in lowest terms.
+    With S the lcm of the map denominators, a level sends rows R over D to
+    R*(ratio*S) + D*(offset*S) over D*S; orbit points stay in the unit cube,
+    so entries stay below D*S and the rows stay int64 while that fits."""
     if depth < 0:
         raise PreconditionFailed("depth must be nonnegative")
     if system.branching**depth > cap:
         raise SizeLimit(f"{system.branching}^{depth} exceeds the {cap} point cap")
-    zero = tuple(Fraction(0) for _ in range(system.dimension))
-    points = {zero}
+    scale = math.lcm(*(c.denominator for ratio, offset in system.maps for c in (ratio, *offset)))
+    maps = [(int(ratio * scale), [int(c * scale) for c in offset]) for ratio, offset in system.maps]
+    rows, denom = np.zeros((1, system.dimension), dtype=np.int64), 1
     for _ in range(depth):
-        points = {
-            tuple(ratio * c + o for c, o in zip(p, offset))
-            for p in points
-            for ratio, offset in system.maps
-        }
-    return sorted(points)
+        if rows.dtype != object and denom * scale >= 1 << 63:
+            rows = rows.astype(object)
+        images = [rows * ratio + np.array([denom * c for c in offset], dtype=rows.dtype)
+                  for ratio, offset in maps]
+        denom *= scale
+        rows = _unique_rows(images, denom, system.dimension)
+    return _lowest_terms(rows, denom)
 
 
 def ifs_approximant(system: IfsSystem, depth: int, cap: int = DEFAULT_POINT_CAP) -> PointSet:
@@ -91,7 +96,7 @@ def ifs_approximant(system: IfsSystem, depth: int, cap: int = DEFAULT_POINT_CAP)
     Coincident images collapse, so the count is at most branching**depth
     (exactly that for non-overlapping systems like the corner Cantor one).
     """
-    return PointSet.from_points(_ifs_orbit(system, depth, cap), mode="exact")
+    return PointSet._from_scaled(*_ifs_orbit(system, depth, cap))
 
 
 @dataclass(frozen=True)
@@ -114,13 +119,15 @@ def lattice_set(spec: LatticeSpec) -> PointSet:
     return PointSet._from_scaled(grid, spec.q)
 
 
-def _axis_grid(g: int) -> list[Fraction]:
-    if g == 1:
-        return [Fraction(1, 2)]
-    return [Fraction(i, g - 1) for i in range(g)]
-
-
 def _grid_side(d: int, n: int) -> int:
+    """Side g of the largest (d-1)-dimensional grid with at most n points."""
+    if d < 2 or n < 2:
+        raise PreconditionFailed("need d >= 2 and n >= 2")
+    if n < 2 ** (d - 1):
+        raise PreconditionFailed(
+            f"the largest {d - 1}-dimensional grid with at most {n} points "
+            "is a single point; raise n"
+        )
     if n > DEFAULT_POINT_CAP:
         raise SizeLimit(f"{n} exceeds the {DEFAULT_POINT_CAP} point cap")
     g = 1
@@ -131,18 +138,11 @@ def _grid_side(d: int, n: int) -> int:
 
 def hyperplane_sample(d: int, n: int) -> PointSet:
     """Uniform grid on the slab midplane {x_d = 1/2}, at most n points."""
-    if d < 2 or n < 2:
-        raise PreconditionFailed("need d >= 2 and n >= 2")
-    if n < 2 ** (d - 1):
-        raise PreconditionFailed(
-            f"the largest {d - 1}-dimensional grid with at most {n} points "
-            "is a single point; raise n"
-        )
     g = _grid_side(d, n)
-    axis = _axis_grid(g)
-    half = Fraction(1, 2)
-    pts = [base + (half,) for base in itertools.product(axis, repeat=d - 1)]
-    return PointSet.from_points(sorted(pts), mode="exact")
+    base = np.indices((g,) * (d - 1)).reshape(d - 1, -1).T
+    # coordinates i/(g-1) and 1/2 over 2(g-1)
+    rows = np.column_stack([2 * base, np.full(len(base), g - 1)])
+    return PointSet._from_scaled(rows, 2 * (g - 1))
 
 
 def lipschitz_graph_sample(d: int, n: int) -> PointSet:
@@ -151,22 +151,14 @@ def lipschitz_graph_sample(d: int, n: int) -> PointSet:
     Height stays within [0, (d-1)/4], so d <= 5 keeps everything in the
     unit cube.
     """
-    if d < 2 or n < 2:
-        raise PreconditionFailed("need d >= 2 and n >= 2")
-    if d > 5:
+    if d > 5 and n >= 2:  # d < 2 or n < 2 is reported first, by _grid_side
         raise PreconditionFailed("graph heights leave the unit cube for d > 5")
-    if n < 2 ** (d - 1):
-        raise PreconditionFailed(
-            f"the largest {d - 1}-dimensional grid with at most {n} points "
-            "is a single point; raise n"
-        )
     g = _grid_side(d, n)
-    axis = _axis_grid(g)
-    pts = []
-    for base in itertools.product(axis, repeat=d - 1):
-        height = sum(c * c for c in base) / 4
-        pts.append(base + (height,))
-    return PointSet.from_points(sorted(pts), mode="exact")
+    base = np.indices((g,) * (d - 1)).reshape(d - 1, -1).T
+    # coordinates i/(g-1) and sum(i^2)/(4(g-1)^2) over 4(g-1)^2
+    denom = 4 * (g - 1) ** 2
+    rows = np.column_stack([4 * (g - 1) * base, (base * base).sum(axis=1)])
+    return PointSet._from_scaled(rows if _fits(denom, 0, denom) else rows.astype(object), denom)
 
 
 # Middle-gap families with per-axis similarity dimension log(m)/log(1/r).
@@ -192,6 +184,13 @@ def cantor_line_system(m: int, ratio: Fraction) -> IfsSystem:
     step = (1 - ratio) / (m - 1)
     maps = tuple((ratio, (j * step,)) for j in range(m))
     return IfsSystem(dimension=1, maps=maps)
+
+
+def _cantor_dimension(d: int, m: int, ratio) -> float:
+    """d*log(m)/log(1/ratio), the dimension of the d-fold product of the
+    (m, ratio) Cantor line, once cantor_line_system has accepted m and ratio."""
+    cantor_line_system(m, ratio)
+    return d * math.log(m) / math.log(1 / Fraction(ratio))
 
 
 def _resolve_cantor(d: int, s) -> tuple[int, Fraction]:
@@ -231,8 +230,7 @@ def product_cantor(
     if m is not None or ratio is not None:
         if m is None or ratio is None:
             raise PreconditionFailed("m and ratio must be given together")
-        ratio = Fraction(ratio)
-        s_value = d * math.log(m) / math.log(1 / ratio)
+        s_value = _cantor_dimension(d, m, ratio)
     else:
         if s is None:
             raise PreconditionFailed("give either s or (m, ratio)")
@@ -244,9 +242,7 @@ def product_cantor(
         )
     if s_value > d + 1e-12:
         raise PreconditionFailed(f"target dimension {s_value:.4f} exceeds {d}")
-    line = _ifs_orbit(cantor_line_system(m, ratio), depth, cap)
-    axis = [p[0] for p in line]
-    if len(axis) ** d > cap:
-        raise SizeLimit(f"{len(axis)}^{d} exceeds the {cap} point cap")
-    ints, denom = _over_common_denominator(axis)
-    return PointSet._from_scaled(ints[np.indices((len(axis),) * d).reshape(d, -1).T], denom)
+    line, denom = _ifs_orbit(cantor_line_system(m, ratio), depth, cap)
+    if len(line) ** d > cap:
+        raise SizeLimit(f"{len(line)}^{d} exceeds the {cap} point cap")
+    return PointSet._from_scaled(line[:, 0][np.indices((len(line),) * d).reshape(d, -1).T], denom)

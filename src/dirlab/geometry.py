@@ -106,7 +106,10 @@ class PointSet:
             raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
         if mode == "float":
             return cls._from_scaled(pts, 1.0)
-        flat, denom = _over_common_denominator([c for p in pts for c in p])
+        # integers over the lcm of the denominators: int64 within the bounds, Python ints past them
+        denom = math.lcm(*{c.denominator for p in pts for c in p})
+        ints = [c.numerator * (denom // c.denominator) for p in pts for c in p]
+        flat = np.array(ints, dtype=np.int64 if _fits(denom, min(ints), max(ints)) else object)
         ps = cls._from_scaled(flat.reshape(len(pts), dimension), denom)
         ps._points = pts
         return ps
@@ -137,10 +140,7 @@ class PointSet:
             if rows.dtype.kind not in "iuO" or denom < 1 or (
                     rows.dtype != object and not _fits(denom, rows.min(), rows.max())):
                 raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
-            g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
-            rows, denom = rows // g, int(denom) // g
-            if rows.dtype != object or _fits(denom, rows.min(), rows.max()):
-                rows = rows.astype(np.int64, copy=False)
+            rows, denom = _lowest_terms(rows, denom)
             keys = rows
             distinct = len(_unique_rows([rows], int(np.abs(rows).max()), rows.shape[1]))
         ps = cls(dimension=rows.shape[1], mode=mode, _scaled=(rows, denom))
@@ -204,13 +204,13 @@ class PointSet:
         return self._scaled
 
 
-def _over_common_denominator(values: list) -> tuple[np.ndarray, int]:
-    """Exact values as integers over the lcm of their denominators: int64
-    within the bounds of PointSet.scaled_integer(), Python ints (object) past
-    them.  The one place exact values become integers."""
-    denom = math.lcm(*{v.denominator for v in values})
-    ints = [v.numerator * (denom // v.denominator) for v in values]
-    return np.array(ints, dtype=np.int64 if _fits(denom, min(ints), max(ints)) else object), denom
+def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
+    """Integer rows / denom with their common gcd divided out, so denom is the
+    lcm of the coordinate denominators; int64 within the bounds of
+    PointSet.scaled_integer(), Python ints (object) past them."""
+    g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
+    rows, denom = rows // g, int(denom) // g
+    return rows.astype(np.int64 if _fits(denom, rows.min(), rows.max()) else object, copy=False), denom
 
 
 # Target row count for one block of pair differences.
@@ -424,22 +424,21 @@ def slope_of_pair(x: Sequence, y: Sequence) -> SlopeVector:
 def collinearity_rank(ps: PointSet) -> int:
     """Dimension of the affine hull of the point set.
 
-    Exact sets use rational elimination, so the answer is exact; float sets
-    use an SVD with relative tolerance 1e-9.
+    Exact sets use fraction-free elimination on their integer rows, so the
+    answer is exact; float sets use an SVD with relative tolerance 1e-9.
     """
     n = len(ps)
     if n <= 1:
         return 0
     if ps.mode == "exact":
-        base = ps.points[0]
-        basis: list[list[Fraction]] = []
+        base, *rest = ps._scaled_rows()[0].tolist()
+        basis: list[list[int]] = []
         pivots: list[int] = []
-        for p in ps.points[1:]:
+        for p in rest:
             v = [a - b for a, b in zip(p, base)]
             for row, piv in zip(basis, pivots):
                 if v[piv] != 0:
-                    factor = v[piv] / row[piv]
-                    v = [a - factor * b for a, b in zip(v, row)]
+                    v = [a * row[piv] - v[piv] * b for a, b in zip(v, row)]
             piv = next((i for i, a in enumerate(v) if a != 0), None)
             if piv is not None:
                 basis.append(v)

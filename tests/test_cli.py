@@ -326,6 +326,28 @@ class TestExperimentAndErrors:
         assert code == 2
         assert "error:" in err and "point cap" in err
 
+    @pytest.mark.parametrize("m, ratio", [("3", "--ratio=1"), ("3", "--ratio=0"), ("3", "--ratio=-1/2"),
+                                          ("0", "--ratio=1/4")])
+    def test_bad_cantor_family_is_usage_error(self, capsys, m, ratio):
+        code, out, err = run_cli(capsys, "generate", "cantor", "--d", "2", "--depth", "1", "--m", m, ratio)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("kind, extra", [("adaptable_directions", ""), ("slope_band", "eps_list = 0.1\n")])
+    @pytest.mark.parametrize("ratio", ["1", "0", "-1/2"])
+    def test_bad_cantor_section_is_usage_error(self, tmp_path, capsys, kind, extra, ratio):
+        cfg = tmp_path / "cantor.ini"
+        cfg.write_text(f"[bad-family]\nkind = {kind}\nd = 2\nm = 3\nratio = {ratio}\ndepth = 1\n{extra}")
+        code, out, err = run_cli(capsys, "experiment", "run", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and "[bad-family]" in err
+
+    def test_too_fine_coverage_pitch_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "sq.txt", SQUARE)
+        code, out, err = run_cli(capsys, "directions", "coverage", points, "--eps", "1e-200")
+        assert code == 2
+        assert err.startswith("error:") and "too fine" in err
+
     def test_degenerate_input_reported(self, tmp_path, capsys):
         points = write_points(tmp_path, "one.txt", "2 1 exact\n0 0\n")
         code, _, err = run_cli(capsys, "directions", "count", points)

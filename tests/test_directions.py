@@ -244,6 +244,31 @@ class TestPrimitiveCount:
             primitive_count(3, 1)
 
 
+class TestChartPitchLimit:
+    """Cells per face side must fit int64; finer pitches are refused, not clipped."""
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        ps = lattice_set(LatticeSpec(q=2, d=3))
+        return ps, distinct_directions(ps, True)
+
+    def test_fine_pitch_still_bins(self, lattice):
+        ps, census = lattice
+        assert census.count == 49
+        assert sphere_coverage(ps, 1e-18).occupied() == 49
+        assert separated_subset(census, 1e-18).occupied_cells == 49
+
+    @pytest.mark.parametrize("eps", [1e-200, 5e-324])
+    def test_too_fine_pitch_refused(self, lattice, eps):
+        ps, census = lattice
+        with pytest.raises(PreconditionFailed, match="too fine"):
+            sphere_coverage(ps, eps)
+        with pytest.raises(PreconditionFailed, match="too fine"):
+            sphere_coverage_sweep(ps, [0.1, eps])
+        with pytest.raises(PreconditionFailed, match="too fine"):
+            separated_subset(census, eps)
+
+
 class TestPpsCheck:
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimension):

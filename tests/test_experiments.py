@@ -242,6 +242,21 @@ class TestRunAll:
         with pytest.raises(PreconditionFailed, match="broken"):
             run_all(cfg)
 
+    @pytest.mark.parametrize("kind", ["adaptable_directions", "slope_band"])
+    @pytest.mark.parametrize("m, ratio", [(3, "1"), (3, "0"), (3, "-1/2"), (0, "1/4")])
+    def test_bad_cantor_family_aborts_before_running(self, tmp_path, kind, m, ratio):
+        cfg = write_config(
+            tmp_path / "bad.ini",
+            f"[cantor-{m}]\nkind = {kind}\nd = 2\nm = {m}\nratio = {ratio}\ndepth = 1\neps_list = 0.1\n",
+        )
+        with pytest.raises(PreconditionFailed, match=rf"section \[cantor-{m}\]"):
+            run_all(cfg)
+
+    @pytest.mark.parametrize("ratio", [Fraction(1), Fraction(0), Fraction(-1, 2)])
+    def test_slope_band_checks_family_first(self, ratio):
+        with pytest.raises(PreconditionFailed):
+            run_slope_band(2, 3, ratio, 1, [0.1])
+
     def test_runtime_failure_is_recorded_not_raised(self, tmp_path):
         cfg = write_config(
             tmp_path / "mixed.ini",

@@ -1,6 +1,7 @@
 """Lattices, IFS approximants, surface samples, and Cantor products."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,10 @@ from dirlab import (
     cantor_line_system,
     product_cantor,
 )
-from dirlab.generators import DEFAULT_POINT_CAP, _grid_side, _ifs_orbit
+from dirlab import generators
+from dirlab.generators import DEFAULT_POINT_CAP, _grid_side
+from reference_generators import _ifs_orbit
+import reference_generators
 
 
 def in_unit_cube(ps):
@@ -226,6 +230,10 @@ def assert_same_point_set(built, reference):
         arr, denom = built.scaled_integer()
         assert arr.dtype == np.int64 and denom == want[1]
         assert np.array_equal(arr, want[0])
+    rows, denom = built._scaled_rows()
+    want_rows, want_denom = reference._scaled_rows()
+    assert rows.dtype == want_rows.dtype and denom == want_denom
+    assert rows.tolist() == want_rows.tolist()
 
 
 class TestArrayBuiltSets:
@@ -251,3 +259,134 @@ class TestArrayBuiltSets:
         axis = [p[0] for p in _ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)]
         reference = PointSet.from_points(list(itertools.product(axis, repeat=d)))
         assert_same_point_set(product_cantor(d, m=m, ratio=ratio, depth=depth), reference)
+
+
+def sierpinski_system() -> IfsSystem:
+    half = Fraction(1, 2)
+    return IfsSystem(dimension=2, maps=tuple((half, off) for off in [(0, 0), (half, 0), (0, half)]))
+
+
+# unequal ratios, maps of different denominators
+UNEQUAL = IfsSystem(
+    dimension=2,
+    maps=(
+        (Fraction(1, 3), (Fraction(0), Fraction(0))),
+        (Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2))),
+        (Fraction(1, 5), (Fraction(4, 5), Fraction(1, 7))),
+    ),
+)
+# overlapping maps: distinct compositions send the origin to one point
+OVERLAPPING = IfsSystem(
+    dimension=3,
+    maps=tuple((Fraction(1, 2), (Fraction(k, 4), Fraction(0), Fraction(k, 8))) for k in range(3)),
+)
+# S^2 > 2^63: the orbit rows leave int64 at the second level
+HUGE = IfsSystem(
+    dimension=2,
+    maps=(
+        (Fraction(1, 2**40 + 1), (Fraction(0), Fraction(0))),
+        (Fraction(1, 2**40 + 1), (Fraction(1, 3), Fraction(5, 7))),
+    ),
+)
+
+
+class TestGeneratorsAgainstReference:
+    """Integer-row generators against the Fraction-tuple ones in reference_generators.py."""
+
+    @pytest.mark.parametrize(
+        "system, depth",
+        [(garnett_system(), k) for k in range(6)]
+        + [(sierpinski_system(), k) for k in range(8)]
+        + [(UNEQUAL, k) for k in range(5)]
+        + [(OVERLAPPING, k) for k in range(5)]
+        + [(HUGE, k) for k in range(4)],
+    )
+    def test_ifs_approximant(self, system, depth):
+        assert_same_point_set(ifs_approximant(system, depth), reference_generators.ifs_approximant(system, depth))
+
+    def test_overlapping_system_collapses(self):
+        assert len(ifs_approximant(OVERLAPPING, 3)) < 3**3
+
+    @pytest.mark.parametrize(
+        "m, ratio, depth",
+        [
+            (2, Fraction(1, 2), 10),
+            (3, Fraction(1, 4), 6),
+            (7, Fraction(1, 10), 4),
+            (2, Fraction(2, 5), 5),
+            # denominator 10^12, past the int64 form: Python-int rows
+            (2, Fraction(4999, 10000), 3),
+            # 10^21 before reduction: the orbit itself leaves int64
+            (2, Fraction(4999999, 10000000), 3),
+        ],
+    )
+    def test_cantor_line(self, m, ratio, depth):
+        rows, denom = generators._ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)
+        axis = [p[0] for p in _ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)]
+        want_denom = math.lcm(*(v.denominator for v in axis))
+        assert denom == want_denom
+        assert rows.dtype == (np.int64 if want_denom <= 2**31 else object)
+        assert rows[:, 0].tolist() == [v.numerator * (want_denom // v.denominator) for v in axis]
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 50), (2, 1001), (3, 4), (3, 5), (3, 9),
+                                      (3, 400), (4, 8), (4, 27), (4, 1000)])
+    def test_hyperplane_sample(self, d, n):
+        assert_same_point_set(hyperplane_sample(d, n), reference_generators.hyperplane_sample(d, n))
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (2, 50), (2, 1001), (3, 4), (3, 9), (3, 400),
+                                      (4, 8), (4, 27), (4, 1000), (5, 16), (5, 81), (5, 1300)])
+    def test_graph_sample(self, d, n):
+        assert_same_point_set(lipschitz_graph_sample(d, n), reference_generators.lipschitz_graph_sample(d, n))
+
+    def test_graph_sample_on_python_int_rows(self):
+        """d = 2 past about 23,000 points: the denominator 4(g-1)^2 passes 2^31."""
+        built = lipschitz_graph_sample(2, 30_000)
+        assert built.scaled_integer() is None
+        assert_same_point_set(built, reference_generators.lipschitz_graph_sample(2, 30_000))
+
+    @given(st.integers(2, 4), st.integers(1, 300))
+    def test_grid_samples_hypothesis(self, d, extra):
+        n = 2 ** (d - 1) + extra
+        assert_same_point_set(hyperplane_sample(d, n), reference_generators.hyperplane_sample(d, n))
+        assert_same_point_set(lipschitz_graph_sample(d, n), reference_generators.lipschitz_graph_sample(d, n))
+
+    @pytest.mark.parametrize(
+        "sample, d, n, error, message",
+        [
+            (hyperplane_sample, 1, 10, PreconditionFailed, "need d >= 2 and n >= 2"),
+            (hyperplane_sample, 3, 1, PreconditionFailed, "need d >= 2 and n >= 2"),
+            (hyperplane_sample, 4, 7, PreconditionFailed, "is a single point"),
+            (hyperplane_sample, 4, 10**7, SizeLimit, "point cap"),
+            (lipschitz_graph_sample, 6, 1, PreconditionFailed, "need d >= 2 and n >= 2"),
+            (lipschitz_graph_sample, 1, 1, PreconditionFailed, "need d >= 2 and n >= 2"),
+            (lipschitz_graph_sample, 6, 2, PreconditionFailed, "graph heights leave"),
+            (lipschitz_graph_sample, 6, 10**7, PreconditionFailed, "graph heights leave"),
+            (lipschitz_graph_sample, 5, 15, PreconditionFailed, "is a single point"),
+            (lipschitz_graph_sample, 3, 10**7, SizeLimit, "point cap"),
+        ],
+    )
+    def test_precondition_order(self, sample, d, n, error, message):
+        with pytest.raises(error, match=message):
+            sample(d, n)
+
+
+class TestCantorParameters:
+    """m and ratio are checked before the dimension log(m)/log(1/ratio) is taken."""
+
+    @pytest.mark.parametrize(
+        "m, ratio, message",
+        [
+            (3, Fraction(1), "overlap"),
+            (3, Fraction(0), "outside"),
+            (3, Fraction(-1, 2), "outside"),
+            (0, Fraction(1, 4), "two maps"),
+            (1, Fraction(1, 4), "two maps"),
+        ],
+    )
+    def test_bad_family_rejected(self, m, ratio, message):
+        with pytest.raises(PreconditionFailed, match=message):
+            product_cantor(2, depth=1, m=m, ratio=ratio)
+
+    def test_dimension_bits_unchanged(self):
+        for m, r in [(3, Fraction(1, 4)), (2, Fraction(2, 5)), (7, Fraction(1, 10))]:
+            assert generators._cantor_dimension(2, m, r) == 2 * math.log(m) / math.log(1 / r)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import oracle_direction
+import reference_generators
 from dirlab import (
     DIRECTION_RESOLUTION,
     DegeneratePair,
@@ -193,6 +194,44 @@ class TestCollinearityRank:
             PointSet.from_points([tuple(map(float, p)) for p in pts])
         )
         assert exact == floated == 3
+
+
+@st.composite
+def ranked_point_sets(draw):
+    """Exact sets of affine rank at most r in dimension d, for r = 0..d: a
+    base point plus small integer combinations of r integer directions, over
+    a denominator that keeps int64 rows or forces Python-int rows."""
+    d = draw(st.integers(2, 5))
+    r = draw(st.integers(0, d))
+    denom = draw(st.sampled_from([3, 12, 2**31 + 11, 2**61 - 1]))
+    base = [draw(st.integers(-denom, denom)) for _ in range(d)]
+    spread = draw(st.sampled_from([5, denom]))
+    dirs = [[draw(st.integers(-spread, spread)) for _ in range(d)] for _ in range(r)]
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=12))
+    pts = {tuple(Fraction(b + sum(c * v[k] for c, v in zip(cs, dirs)), denom) for k, b in enumerate(base))
+           for cs in combos}
+    return PointSet.from_points(sorted(pts))
+
+
+class TestRankAgainstReference:
+    """Fraction-free integer elimination against rational elimination on points."""
+
+    @given(ranked_point_sets())
+    def test_matches_rational_elimination(self, ps):
+        assert collinearity_rank(ps) == reference_generators.collinearity_rank(ps)
+
+    @pytest.mark.parametrize("denom", [3, 12, 2**31 + 11, 2**61 - 1])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_rank_reached(self, d, denom):
+        for r in range(d + 1):
+            pts = [tuple(Fraction(1 + (k == i) * (i + 2), denom) for k in range(d)) for i in range(r)]
+            ps = PointSet.from_points([tuple(Fraction(1, denom) for _ in range(d))] + pts)
+            assert collinearity_rank(ps) == reference_generators.collinearity_rank(ps) == r
+
+    def test_does_not_build_points(self):
+        ps = PointSet._from_scaled(np.array([[0, 0, 0], [3, 0, 1], [0, 5, 2], [3, 5, 4]]), 7)
+        assert collinearity_rank(ps) == 3
+        assert ps._points is None
 
 
 class TestPointSet:
