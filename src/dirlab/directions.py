@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,61 @@ from .geometry import (
 )
 
 
+class DirectionKeys(Set):
+    """The distinct direction keys of a census, held as their integer rows.
+
+    rows are distinct and in lexicographic order, so in the order of the
+    keys' reps: a key's rep is its row times scale, as ints for exact keys
+    (scale 1) and floats for float keys (scale DIRECTION_RESOLUTION).
+    len() reads the rows; membership, iteration and comparison build the
+    frozenset of DirectionKey once, on first use.
+    """
+
+    __slots__ = ("rows", "scale", "exact", "antipodal", "_frozen")
+
+    def __init__(self, rows: np.ndarray, scale, exact: bool, antipodal: bool):
+        self.rows, self.scale, self.exact, self.antipodal = rows, scale, exact, antipodal
+        self._frozen = None
+
+    def keys_at(self, positions) -> list:
+        """The DirectionKeys of the rows at positions, in that order."""
+        return [DirectionKey(rep=tuple(rep), antipodal_identified=self.antipodal, exact=self.exact)
+                for rep in (self.rows[positions] * self.scale).tolist()]
+
+    def _keys(self) -> frozenset:
+        if self._frozen is None:
+            self._frozen = frozenset(self.keys_at(slice(None)))
+        return self._frozen
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys()
+
+    def __hash__(self) -> int:
+        return hash(self._keys())
+
+    def __repr__(self) -> str:
+        return f"DirectionKeys({len(self)} keys, exact={self.exact}, antipodal={self.antipodal})"
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+
 @dataclass(frozen=True)
 class DirectionCensus:
-    """All distinct direction keys of a point set, with pair bookkeeping."""
+    """All distinct direction keys of a point set, with pair bookkeeping.
 
-    keys: frozenset
+    keys is a DirectionKeys from distinct_directions; count reads only its
+    length, so it never builds a key.
+    """
+
+    keys: Set
     antipodal_identified: bool
     n_points: int
     n_pairs: int
@@ -84,14 +135,10 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
             yield _flip_to_canonical(q) if antipodal else np.vstack([q, -q])
 
     if exact:
-        bound, scale, cast = max(1, 2 * int(np.abs(arr).max())), 1, int
+        bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
     else:
-        bound, scale, cast = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION, float
-    rows = _unique_rows(_key_chunks(), bound, P.dimension)
-    keys = frozenset(
-        DirectionKey(rep=tuple(cast(v) for v in row), antipodal_identified=antipodal, exact=exact)
-        for row in rows * scale
-    )
+        bound, scale = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION
+    keys = DirectionKeys(_unique_rows(_key_chunks(), bound, P.dimension), scale, exact, antipodal)
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     return DirectionCensus(keys=keys, antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs)
 
@@ -300,7 +347,8 @@ def _greedy(units: np.ndarray, kept: list, candidates: list, delta: float) -> li
 def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     """Greedy checkerboard selection of keys at Euclidean separation delta.
 
-    Keys are taken in rep order and binned on the coverage chart; each
+    Keys are taken in rep order (the order of the census rows) and binned
+    on the coverage chart, and only the keys kept are built; each
     occupied cell keeps its first key and takes one of 2^(d-1) parity
     colors.  One greedy keeps each color class in cell order; the largest
     class then grows by the remaining keys, in order, that respect the
@@ -309,8 +357,8 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     """
     if not (0 < delta <= 1):
         raise PreconditionFailed(f"separation {delta} outside (0, 1]")
-    keys = sorted(census.keys, key=lambda key: key.rep)
-    units = _unit_rows(np.array([key.rep for key in keys], dtype=np.float64))
+    keys = census.keys
+    units = _unit_rows(np.array(keys.rows * keys.scale, dtype=np.float64))
     d = units.shape[1]
     n_classes = 2 ** (d - 1)
     pitch = (d + 1) * delta
@@ -331,7 +379,7 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
         if len(best) >= math.ceil(occupied / n_classes):
             rest = np.setdiff1d(np.arange(len(keys)), best).tolist()
             return SeparatedSubset(
-                keys=[keys[pos] for pos in _greedy(units, best, rest, delta)],
+                keys=keys.keys_at(_greedy(units, best, rest, delta)),
                 delta=delta,
                 pitch=pitch,
                 occupied_cells=occupied,

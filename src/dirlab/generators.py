@@ -130,7 +130,10 @@ def _grid_side(d: int, n: int) -> int:
         )
     if n > DEFAULT_POINT_CAP:
         raise SizeLimit(f"{n} exceeds the {DEFAULT_POINT_CAP} point cap")
-    g = 1
+    # the float root is off by at most one step; the integer checks settle it
+    g = round(n ** (1 / (d - 1)))
+    while g ** (d - 1) > n:
+        g -= 1
     while (g + 1) ** (d - 1) <= n:
         g += 1
     return g

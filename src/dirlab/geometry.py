@@ -303,30 +303,49 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
-    """Distinct rows over a stream of integer row chunks with |entry| <= bound.
+def _distinct_words(words: list) -> list:
+    """The distinct tuples (words[0][i], words[1][i], ...) in lexicographic
+    order, as word arrays again: one word by sort and adjacent compare,
+    several by one lexsort."""
+    if len(words) == 1:
+        return [_sorted_unique(words[0])]
+    order = np.lexsort(words[::-1])
+    words = [w[order] for w in words]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.any([w[1:] != w[:-1] for w in words], axis=0)
+    return [w[keep] for w in words]
 
-    Rows pack into single codes whenever (2*bound+1)^d fits int64, and
-    always for Python-int (object) rows, whose codes are Python ints; that
-    turns the row dedup into scalar unique calls.  Other int64 chunks take
-    the slower axis unique."""
+
+def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
+    """Distinct rows, in lexicographic order, over a stream of integer row
+    chunks with |entry| <= bound.
+
+    Each row packs into words of consecutive entries as signed digits in
+    base 2*bound+1, so words compare as the entries they hold: one word for
+    Python-int (object) rows, whose words are Python ints, and for int64
+    rows as few words as keep each within int64.  Each chunk, then their
+    union, is deduplicated on its words, which unpack to the rows."""
     base = 2 * bound + 1
-    codes, chunks = [], []
+    parts = []
     for rows in chunk_rows:
-        if rows.dtype == object or base**d <= 1 << 62:
-            code = rows[:, 0] + bound
-            for j in range(1, d):
-                code = code * base + (rows[:, j] + bound)
-            codes.append(_sorted_unique(code))
-        else:
-            chunks.append(np.unique(rows, axis=0))
-    if chunks:
-        return np.unique(np.vstack(chunks), axis=0)
-    rem = _sorted_unique(np.concatenate(codes))
-    out = np.empty((len(rem), d), dtype=rem.dtype)
-    for j in range(d - 1, -1, -1):
-        # // and % rather than np.divmod, which has no object loop
-        rem, out[:, j] = rem // base, rem % base - bound
+        width = d
+        while rows.dtype != object and width > 1 and base**width > 1 << 62:
+            width -= 1
+        spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
+        words = []
+        for lo, hi in spans:
+            word = rows[:, lo]
+            for j in range(lo + 1, hi):
+                word = word * base + rows[:, j]
+            words.append(word)
+        parts.append(_distinct_words(words))
+    words = _distinct_words([np.concatenate(column) for column in zip(*parts)])
+    out = np.empty((len(words[0]), d), dtype=words[0].dtype)
+    for (lo, hi), rem in zip(spans, words):
+        for j in range(hi - 1, lo, -1):
+            # // and % rather than np.divmod, which has no object loop
+            rem, out[:, j] = (rem + bound) // base, (rem + bound) % base - bound
+        out[:, lo] = rem
     return out
 
 

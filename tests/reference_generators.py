@@ -4,7 +4,9 @@ These are the IFS orbit, the two grid samplers and the exact affine rank
 as they stood before they moved onto integer rows: orbit points as sets of
 Fraction tuples, grid coordinates from a Fraction axis, sorted tuples
 handed to PointSet.from_points, and rational elimination on the points
-view.  The oracle tests compare the library against them.
+view.  grid_side is the grid side as it was found before the integer
+root, one step at a time.  The oracle tests compare the library against
+them.
 """
 
 from __future__ import annotations
@@ -83,3 +85,12 @@ def collinearity_rank(ps: PointSet) -> int:
             if len(basis) == ps.dimension:
                 break
     return len(basis)
+
+
+def grid_side(d: int, n: int) -> int:
+    """Side g of the largest (d-1)-dimensional grid with at most n points,
+    by stepping g up one at a time (preconditions left to the library)."""
+    g = 1
+    while (g + 1) ** (d - 1) <= n:
+        g += 1
+    return g

@@ -1,5 +1,6 @@
 """Direction censuses, primitive counts, coverage grids, separation."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -19,8 +20,10 @@ from conftest import (
     random_rational_points,
     refuse_pair_loop,
 )
+import reference_census
 import reference_subset
 from dirlab import (
+    directions,
     geometry,
     LatticeSpec,
     PointSet,
@@ -36,6 +39,7 @@ from dirlab import (
     sphere_coverage_sweep,
 )
 from dirlab.directions import _unit_rows
+from dirlab.geometry import DirectionKey, _unique_rows
 
 point_sets = st.lists(
     st.tuples(
@@ -168,7 +172,7 @@ class TestUniqueRows:
     @pytest.mark.parametrize("bound", [5, 1 << 40])
     @pytest.mark.parametrize("d", [2, 3])
     def test_both_branches_match_numpy(self, bound, d):
-        # bound 5 packs rows into int64 codes; 2^40 leaves them to axis unique
+        # bound 5 packs each row into one int64 word; 2^40 into one word per entry
         from dirlab.directions import _unique_rows
 
         rng = np.random.default_rng(bound + d)
@@ -193,6 +197,126 @@ class TestUniqueRows:
         got = _unique_rows(chunks, bound, d)
         assert got.dtype == object and len(got) == len(set(rows))
         assert {tuple(r) for r in got.tolist()} == set(rows)
+
+
+@st.composite
+def census_sets(draw):
+    """Product sets, d in {2, 3}, on each row form of the census: int64 rows
+    (numerators up to 12, or up to 2^31 over the prime 2^31 - 1), Python-int
+    rows over the prime 2^61 - 1, and float rows."""
+    kind = draw(st.sampled_from(("int64", "int64-wide", "object", "float")))
+    den = {"int64": 12, "int64-wide": (1 << 31) - 1, "object": (1 << 61) - 1, "float": 12}[kind]
+    d = draw(st.sampled_from((2, 3)))
+    axes = [draw(st.lists(st.integers(-den, den), min_size=1, max_size=5, unique=True))
+            for _ in range(d)]
+    pts = [tuple(Fraction(k, den) for k in p) for p in itertools.product(*axes)]
+    assume(len(pts) >= 2)
+    ps = PointSet.from_points(pts, mode="float" if kind == "float" else "exact")
+    assert (ps.scaled_integer() is None) == (kind in ("object", "float"))
+    return ps
+
+
+class TestKeysView:
+    """census.keys against the eager frozenset of reference_census.py."""
+
+    @given(census_sets())
+    def test_keys_equal_reference_on_both_paths(self, ps):
+        for antipodal in (True, False):
+            want = reference_census.distinct_directions(ps, antipodal).keys
+            for census in on_both_paths(lambda P: distinct_directions(P, antipodal), ps):
+                assert census.count == len(want)
+                assert set(census.keys) == want
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    @pytest.mark.parametrize("kind", ["int64", "object", "float"])
+    def test_keys_equal_reference_off_product(self, kind, antipodal):
+        rng = random.Random(31)
+        if kind == "float":
+            pts = [tuple(rng.random() for _ in range(3)) for _ in range(30)]
+        else:
+            den = 97 if kind == "int64" else (1 << 61) - 1
+            pts = random_rational_points(rng, 30, 3, denom=den)
+        ps = PointSet.from_points(pts)
+        census = distinct_directions(ps, antipodal)
+        assert set(census.keys) == reference_census.distinct_directions(ps, antipodal).keys
+
+    def test_count_builds_no_key(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("DirectionKey built")
+
+        monkeypatch.setattr(directions, "DirectionKey", refuse)
+        rng = random.Random(5)
+        for ps in (lattice_set(LatticeSpec(q=4, d=3)),
+                   PointSet.from_points([tuple(rng.random() for _ in range(3)) for _ in range(40)])):
+            for antipodal in (True, False):
+                assert distinct_directions(ps, antipodal).count > 0
+
+    def test_subset_builds_only_the_keys_it_keeps(self, monkeypatch):
+        census = distinct_directions(lattice_set(LatticeSpec(q=6, d=2)), True)
+        built = []
+        monkeypatch.setattr(directions, "DirectionKey",
+                            lambda **fields: built.append(fields) or DirectionKey(**fields))
+        subset = separated_subset(census, 0.2)
+        assert len(built) == len(subset.keys) < census.count
+
+
+class TestCensusContract:
+    """What the benchmark harness and callers do with a census and its keys."""
+
+    @pytest.fixture
+    def censuses(self):
+        ps = lattice_set(LatticeSpec(q=3, d=2))
+        return ps, distinct_directions(ps, True), distinct_directions(ps, False)
+
+    def test_replace_keys_with_a_frozenset(self, censuses):
+        _, _, signed = censuses
+        fewer = dataclasses.replace(signed, keys=frozenset(list(signed.keys)[1:]))
+        assert fewer.count == signed.count - 1
+
+    def test_subset_keys_within_census(self, censuses):
+        _, census, _ = censuses
+        subset = separated_subset(census, 0.1)
+        assert set(subset.keys) <= census.keys
+        outside = dataclasses.replace(subset.keys[0], rep=tuple(7919 * v for v in subset.keys[0].rep))
+        assert not set(subset.keys + [outside]) <= census.keys
+        assert outside not in census.keys
+
+    def test_equal_censuses_compare_equal(self, censuses):
+        ps, census, signed = censuses
+        again = distinct_directions(ps, True)
+        assert again == census and hash(again) == hash(census)
+        assert census.keys == frozenset(census.keys) and frozenset(census.keys) == census.keys
+        assert census != signed
+
+
+# bound per branch of _unique_rows: one int64 word per row, int64 words of
+# two entries (one word per row in d = 2) or of one entry, one Python-int word
+ROW_BOUNDS = {"one-word": 7, "two-per-word": 10**9 + 2, "one-per-word": 1 << 40, "python-int": 1 << 70}
+
+
+@st.composite
+def row_chunks(draw, branch):
+    """Rows with entries within ROW_BOUNDS[branch], some repeated, in 1-4 chunks."""
+    d = draw(st.integers(2, 5))
+    bound = ROW_BOUNDS[branch]
+    entries = st.integers(-bound, bound)
+    rows = draw(st.lists(st.tuples(*[entries] * d), min_size=1, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows) - 1), max_size=3)) if len(rows) > 1 else [])
+    dtype = object if branch == "python-int" else np.int64
+    chunks = [np.array(rows[a:b], dtype=dtype).reshape(-1, d)
+              for a, b in zip([0] + cuts, cuts + [len(rows)]) if b > a]
+    return rows, chunks, bound, d
+
+
+class TestUniqueRowsOrder:
+    @pytest.mark.parametrize("branch", ROW_BOUNDS)
+    @given(data=st.data())
+    def test_rows_distinct_and_lexicographic(self, branch, data):
+        rows, chunks, bound, d = data.draw(row_chunks(branch))
+        got = _unique_rows(chunks, bound, d)
+        assert got.dtype == chunks[0].dtype
+        assert [tuple(r) for r in got.tolist()] == sorted(set(rows))
 
 
 class TestSlowPathCensus:

@@ -181,6 +181,14 @@ class TestSurfaceSamples:
     def test_point_cap_itself_allowed(self):
         assert _grid_side(3, DEFAULT_POINT_CAP) == 1000
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_grid_side_matches_stepping(self, d):
+        """Every perfect power up to 10^4, one either side, and the cap."""
+        powers = {g**k for k in range(2, 14) for g in range(2, 101) if g**k <= 10**4}
+        ns = {n + e for n in powers for e in (-1, 0, 1)} | {DEFAULT_POINT_CAP - 1, DEFAULT_POINT_CAP}
+        for n in sorted(n for n in ns if n >= 2 ** (d - 1)):
+            assert _grid_side(d, n) == reference_generators.grid_side(d, n), n
+
 
 class TestProductCantor:
     def test_degenerate_full_grid(self):
