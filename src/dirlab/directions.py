@@ -31,6 +31,9 @@ from .geometry import (
     collinearity_rank,
 )
 
+# Chart cells up to which coverage counts hits in a dense int64 array (8 MB).
+DENSE_CELL_LIMIT = 1 << 20
+
 
 class DirectionKeys(Set):
     """The distinct direction keys of a census, held as their integer rows.
@@ -267,10 +270,8 @@ def sphere_coverage_sweep(
     d = P.dimension
     sides = [_chart_side(eps) for eps in eps_list]
     totals = [2 * d * m ** (d - 1) for m in sides]
-    # dense hit arrays up to the limit, counter dicts for finer grids
-    dense_limit = 1 << 26
     accums = [
-        np.zeros(total, dtype=np.int64) if total <= dense_limit else Counter()
+        np.zeros(total, dtype=np.int64) if total <= DENSE_CELL_LIMIT else Counter()
         for total in totals
     ]
 

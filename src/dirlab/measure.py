@@ -1,9 +1,9 @@
 """Discrete measures on point sets: energies, cube splits, slope densities.
 
 A weighted point set is a probability measure with finitely many atoms.
-Exact-mode bases keep masses as rationals, which makes energy values and
-cube-split bookkeeping exact; float bases fall back to deterministic
-float64 summation (fixed chunk order).
+Exact masses are integer numerators over one denominator, which makes
+energy values and cube-split bookkeeping exact; float masses fall back to
+deterministic float64 summation (fixed chunk order).
 """
 
 from __future__ import annotations
@@ -11,82 +11,116 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _group_sums
-from .geometry import _is_product_support, _pair_differences, _sorted_unique
+from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _fits, _group_sums
+from .geometry import _is_product_support, _lowest_terms, _pair_differences, _sorted_unique
 
 
-@dataclass
 class WeightedPointSet:
     """Atoms with nonnegative masses summing to one.
 
-    thickening_radius is metadata: the ball radius at which the discrete
-    measure stands in for a thickened continuous one.
+    Every measure holds one form, ``(weights, denominator)`` with masses
+    weights / denominator, as a PointSet holds its rows: exact masses are
+    integers over their common denominator (int64 within the bounds of
+    PointSet.scaled_integer(), Python ints past them), float or mixed masses
+    float64 over 1.0.  ``masses`` is a view built on first use; the public
+    constructor keeps the tuple it was given.  thickening_radius is
+    metadata: the ball radius at which the discrete measure stands in for a
+    thickened continuous one.
     """
 
-    base: PointSet
-    masses: tuple
-    thickening_radius: float | None = None
-    uniform: bool = field(init=False, repr=False, compare=False)
-    exact: bool = field(init=False, repr=False, compare=False)
+    def __init__(self, base: PointSet, masses, thickening_radius: float | None = None):
+        masses = tuple(masses)
+        if all(isinstance(m, (int, Fraction)) for m in masses):
+            # integers over the lcm of the denominators, as in PointSet.from_points
+            denom = math.lcm(*{m.denominator for m in masses})
+            ints = [m.numerator * (denom // m.denominator) for m in masses]
+            fits = _fits(denom, min(ints, default=0), max(ints, default=0))
+            weights = np.array(ints, dtype=np.int64 if fits else object)
+        else:
+            weights, denom = np.array([float(m) for m in masses], dtype=np.float64), 1.0
+        vars(self).update(vars(self._from_weights(base, weights, denom, thickening_radius)), _masses=masses)
 
-    def __post_init__(self):
-        if len(self.masses) != len(self.base):
+    @classmethod
+    def _from_weights(cls, base: PointSet, weights: np.ndarray, denom, thickening_radius=None):
+        """The measure weights / denom on base; the one place masses are checked.
+
+        Float weights must be finite and are stored divided by denom, over
+        1.0; integer weights are reduced by their common gcd with denom.
+        Both must be nonnegative and sum to one, float sums within 1e-12.
+        """
+        if len(weights) != len(base):
             raise PreconditionFailed("one mass per atom required")
-        # tuple.count tests identity first, so a shared mass is never hashed
-        self.uniform = self.masses.count(self.masses[0]) == len(self.masses)
-        distinct = self.masses[:1] if self.uniform else self.masses
-        self.exact = all(isinstance(m, (int, Fraction)) for m in distinct)
-        if not self.exact and not all(math.isfinite(m) for m in distinct):
-            raise PreconditionFailed("masses must be finite")
-        for m in distinct:
-            if m < 0:
-                raise PreconditionFailed("masses must be nonnegative")
-        total = self.total_mass()
-        if self.exact:
-            if total != 1:
-                raise PreconditionFailed(f"masses sum to {total}, not 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise PreconditionFailed(f"masses sum to {total!r}, not 1")
+        mu = cls.__new__(cls)
+        mu.exact = weights.dtype.kind != "f"
+        if mu.exact:
+            weights, denom = _lowest_terms(weights, denom)
+        else:
+            weights, denom = np.asarray(weights / denom, dtype=np.float64), 1.0
+            if not np.isfinite(weights).all():
+                raise PreconditionFailed("masses must be finite")
+        if weights.min() < 0:
+            raise PreconditionFailed("masses must be nonnegative")
+        mu.base, mu.thickening_radius, mu._weights = base, thickening_radius, (weights, denom)
+        mu.uniform, mu._masses = bool(weights.min() == weights.max()), None
+        total = mu.total_mass()
+        if abs(total - 1) > (0 if mu.exact else 1e-12):
+            raise PreconditionFailed(f"masses sum to {total}, not 1")
+        return mu
+
+    @property
+    def masses(self) -> tuple:
+        """The masses, built on first use, one shared Fraction (exact weights)
+        or float per distinct value."""
+        if self._masses is None:
+            weights, denom = self._weights
+            values, inverse = np.unique(weights, return_inverse=True)
+            shared = [Fraction(v, denom) if self.exact else v for v in values.tolist()]
+            self._masses = tuple(np.array(shared, dtype=object)[inverse].tolist())
+        return self._masses
 
     def total_mass(self):
-        if self.uniform:
-            return self.masses[0] * len(self.masses)
-        return sum(self.masses)
+        weights, denom = self._weights
+        return Fraction(int(weights.sum()), denom) if self.exact else float(weights.sum())
 
     def __len__(self) -> int:
         return len(self.base)
 
     def mass_array(self) -> np.ndarray:
-        return np.array([float(m) for m in self.masses], dtype=np.float64)
+        """Float64 masses weights / denominator; each entry equals float() of
+        its mass bit for bit (see PointSet.as_array)."""
+        weights, denom = self._weights
+        return np.asarray(weights / denom, dtype=np.float64)
 
-    def mass_numerators(self) -> tuple[np.ndarray, int]:
-        """Exact masses as Python-int numerators (object array) over their
-        common denominator."""
-        common = math.lcm(*(Fraction(m).denominator for m in self.masses))
-        return np.array([int(m * common) for m in self.masses], dtype=object), common
+
+def _exponent(s) -> float:
+    """s as a float, refused unless finite and positive."""
+    value = float(s)
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionFailed(f"the exponent s must be finite and positive, not {s}")
+    return value
 
 
 def uniform_weights(P: PointSet, s=None) -> WeightedPointSet:
     """Equal masses 1/n; the radius n^(-1/s) is attached when s is given."""
     n = len(P)
-    if P.mode == "exact":
-        mass = Fraction(1, n)
-    else:
-        mass = 1.0 / n
-    radius = None if s is None else float(n) ** (-1.0 / float(s))
-    return WeightedPointSet(base=P, masses=(mass,) * n, thickening_radius=radius)
+    radius = None if s is None else float(n) ** (-1.0 / _exponent(s))
+    ones = np.ones(n, dtype=np.int64 if P.mode == "exact" else np.float64)
+    return WeightedPointSet._from_weights(P, ones, n, thickening_radius=radius)
 
 
-def _separation_violation(arr: np.ndarray, radius: float):
-    """First pair of points closer than radius, or None; grid-hash search."""
+def _separation(P: PointSet, s) -> tuple:
+    """The radius n^(-1/s) and the first pair of points closer than it, as
+    (j, i, distance), or None; grid-hash search in float64."""
+    arr = P.as_array()
     n, d = arr.shape
+    radius = float(n) ** (-1.0 / _exponent(s))
     cell = np.floor(arr / radius).astype(np.int64)
     buckets: dict[tuple, list[int]] = {}
     offsets = list(itertools.product((-1, 0, 1), repeat=d))
@@ -102,9 +136,9 @@ def _separation_violation(arr: np.ndarray, radius: float):
                 if dist < radius and (hit is None or j < hit[0]):
                     hit = (j, dist)
         if hit is not None:
-            return hit[0], i, hit[1]
+            return radius, (hit[0], i, hit[1])
         buckets.setdefault(home, []).append(i)
-    return None
+    return radius, None
 
 
 def discrete_frostman(P: PointSet, s) -> WeightedPointSet:
@@ -116,12 +150,9 @@ def discrete_frostman(P: PointSet, s) -> WeightedPointSet:
     s = float(s)
     if not (0 < s <= P.dimension):
         raise PreconditionFailed(f"s={s} outside (0, {P.dimension}]")
-    n = len(P)
-    radius = float(n) ** (-1.0 / s)
-    if n > 1:
-        violation = _separation_violation(P.as_array(), radius)
-        if violation is not None:
-            raise NotSeparated(*violation, radius)
+    radius, violation = _separation(P, s)
+    if violation is not None:
+        raise NotSeparated(*violation, radius)
     return uniform_weights(P, s=s)
 
 
@@ -132,38 +163,33 @@ def energy_integral(mu: WeightedPointSet, s):
     rational-friendly (s a positive even integer); float64 otherwise, with
     a fixed summation order so results are reproducible.
     """
-    if float(s) <= 0:
-        raise PreconditionFailed("the energy exponent must be positive")
+    value = _exponent(s)
     n = len(mu)
     if n < 2:
         return Fraction(0) if mu.base.mode == "exact" else 0.0
 
-    s_int = int(s) if float(s) == int(s) else None
+    s_int = int(s) if value == int(s) else None
     if mu.base.mode == "exact" and mu.exact and s_int is not None and s_int % 2 == 0:
         # Integers over the common denominator; Python ints past the int64
         # bounds and wherever |x - y|^2 could overflow int64.
         arr, denom = mu.base._scaled_rows()
         if 4 * mu.base.dimension * int(np.abs(arr).max()) ** 2 >= 1 << 63:
             arr = arr.astype(object)
-        # Non-uniform masses enter as integer numerators over their common
-        # denominator, so every pair weight stays an exact integer.
-        if mu.uniform:
-            weights, scale = None, Fraction(mu.masses[0]) ** 2
-        else:
-            weights, common = mu.mass_numerators()
-            scale = Fraction(1, common * common)
+        # Masses enter as integer numerators (all 1 for uniform masses, which
+        # keeps the product path open); pair weights stay below denominator^2.
+        weights, mass_denom = mu._weights
         grouped = Counter()
-        for diffs, mult in _pair_differences(arr, weights):
+        for diffs, mult in _pair_differences(arr, None if mu.uniform else weights):
             grouped.update(_group_sums((diffs * diffs).sum(axis=1), mult))
         total = sum(Fraction(weight) / r2 ** (s_int // 2) for r2, weight in grouped.items())
-        return 2 * scale * denom**s_int * total
+        return 2 * Fraction(denom**s_int, mass_denom**2) * total
 
-    weights = None if mu.uniform else mu.mass_array()
-    exponent = -float(s) / 2.0
+    masses = mu.mass_array()
+    exponent = -value / 2.0
     total = 0.0
-    for diffs, mult in _pair_differences(mu.base.as_array(), weights):
+    for diffs, mult in _pair_differences(mu.base.as_array(), None if mu.uniform else masses):
         total += float((mult * (diffs * diffs).sum(axis=1) ** exponent).sum())
-    return 2.0 * total * (float(mu.masses[0]) ** 2 if mu.uniform else 1.0)
+    return 2.0 * total * (float(masses[0]) ** 2 if mu.uniform else 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,20 +216,15 @@ def default_energy_bound(d: int, s) -> float:
 
 def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityReport:
     """Separation at radius n^(-1/s) plus a bounded discrete s-energy."""
-    s = float(s)
+    s = _exponent(s)
     if bound is None:
         bound = default_energy_bound(P.dimension, s)
-    n = len(P)
-    radius = float(n) ** (-1.0 / s)
-    offending = None
-    if n > 1:
-        violation = _separation_violation(P.as_array(), radius)
-        if violation is not None:
-            offending = violation[:2]
+    radius, violation = _separation(P, s)
+    offending = None if violation is None else violation[:2]
     separated = offending is None
     energy = float(energy_integral(uniform_weights(P, s=s), s))
     return AdaptabilityReport(
-        n=n,
+        n=len(P),
         s=s,
         bound=float(bound),
         radius=radius,
@@ -238,18 +259,6 @@ class CubeSplit:
     child_indices: tuple
 
 
-def _normalized_piece(mu, rows, denom, sel, total) -> WeightedPointSet:
-    """Atoms sel of mu (rows / denom) renormalized to total mass one."""
-    if isinstance(total, Fraction):
-        if mu.uniform:
-            scaled = (Fraction(mu.masses[0]) / total,) * len(sel)
-        else:
-            scaled = tuple(Fraction(mu.masses[i]) / total for i in sel.tolist())
-    else:
-        scaled = tuple(float(mu.masses[i]) / float(total) for i in sel.tolist())
-    return WeightedPointSet(base=PointSet._from_scaled(rows[sel], denom), masses=scaled)
-
-
 def stopping_time_split(
     mu: WeightedPointSet, c: float | None = None, max_depth: int = 8
 ) -> CubeSplit:
@@ -268,9 +277,9 @@ def stopping_time_split(
     origin) <= D, its child index is clip(4 * rel // D, 0, 3) and the descent
     sets rel to 4 * rel - index * D, exactly for floats too (Sterbenz's
     lemma).  Exact rows are int64 within the bounds of scaled_integer() and
-    Python ints past them.  Child masses are exact (counts times the shared
-    mass, or integer numerators over a common denominator) or float sums in
-    atom order.
+    Python ints past them.  Child masses sum the measure's weights: integer
+    numerators over its mass denominator for exact measures, floats in atom
+    order otherwise, so the heavy-child search compares ints or floats.
     """
     d = mu.base.dimension
     if c is None:
@@ -280,18 +289,16 @@ def stopping_time_split(
     if max_depth < 1:
         raise PreconditionFailed("max_depth must be at least 1")
     exact = mu.base.mode == "exact" and mu.exact
-    c_value = Fraction(c) if exact else float(c)
     rows, denom = mu.base._scaled_rows()
     if rows.min() < 0 or rows.max() > denom:
         raise PreconditionFailed("the measure must live in the unit cube")
-    if not exact:
-        weights = mu.mass_array()
-    elif not mu.uniform:
-        weights, common = mu.mass_numerators()
+    # a child is heavy when mass * c_den >= c_num * cube_mass
+    weights, total = mu._weights if exact else (mu.mass_array(), 1.0)
+    c_num, c_den = Fraction(c).as_integer_ratio() if exact else (float(c), 1)
     powers = 4 ** np.arange(d - 1, -1, -1, dtype=np.int64 if d < 32 else object)
 
-    one = Fraction(1) if exact else 1.0
-    origin, side, cube_mass = (0 * one,) * d, one, one
+    # the current cube is corner * side + [0, side]^d, side = 4^(1-level); its mass
+    corner, cube_mass = [0] * d, total
     index, rel = np.arange(len(rows)), rows  # atoms of mu inside the current cube
 
     for level in range(1, max_depth + 1):
@@ -299,17 +306,12 @@ def stopping_time_split(
         code = child @ powers
         codes = _sorted_unique(code)
         inverse = np.searchsorted(codes, code)
-        if not exact:
-            sums = np.bincount(inverse, weights=weights[index]).tolist()
-        elif mu.uniform:
-            sums = [Fraction(mu.masses[0]) * k for k in np.bincount(inverse).tolist()]
-        else:
-            sums = [Fraction(v, common) for v in _group_sums(inverse, weights[index]).values()]
+        sums = np.zeros(len(codes), dtype=weights.dtype)
+        np.add.at(sums, inverse, weights[index])
         keys = [tuple(v // 4**k % 4 for k in range(d - 1, -1, -1)) for v in codes.tolist()]
-        child_mass = dict(zip(keys, sums))
+        child_mass = dict(zip(keys, sums.tolist()))
 
-        threshold = c_value * cube_mass
-        heavy = sorted(key for key, m in child_mass.items() if m >= threshold)
+        heavy = sorted(key for key, m in child_mass.items() if m * c_den >= c_num * cube_mass)
 
         best = None
         for a, b in itertools.combinations(heavy, 2):
@@ -319,34 +321,31 @@ def stopping_time_split(
                 continue
             score = (wide, min(child_mass[a], child_mass[b]), child_mass[a] + child_mass[b])
             if best is None or score > best[0] or (score == best[0] and (a, b) < best[1]):
-                best = (score, (a, b))
+                best = (score, (a, b), gaps)
         if best is not None:
-            a, b = best[1]
-            gaps = [abs(x - y) for x, y in zip(a, b)]
+            _, (a, b), gaps = best
             widest = max(gaps)
             sep_coordinate = max(k for k, g in enumerate(gaps) if g == widest)
-            quarter = side / 4
+            side = Fraction(1, 4 ** (level - 1)) if exact else 4.0 ** (1 - level)
+            sels = [index[inverse == keys.index(key)] for key in (a, b)]
             return CubeSplit(
-                pieces=tuple(
-                    _normalized_piece(mu, rows, denom, index[inverse == keys.index(key)], child_mass[key])
-                    for key in (a, b)
-                ),
-                piece_masses=(child_mass[a], child_mass[b]),
+                pieces=tuple(WeightedPointSet._from_weights(PointSet._from_scaled(rows[sel], denom),
+                                                            weights[sel], child_mass[key])
+                             for sel, key in zip(sels, (a, b))),
+                piece_masses=tuple(Fraction(child_mass[key], total) if exact else child_mass[key]
+                                   for key in (a, b)),
                 level=level,
                 sep_coordinate=sep_coordinate,
-                sep_distance=float(quarter),
-                cube_origin=tuple(origin),
+                sep_distance=float(side / 4),
+                cube_origin=tuple(v * side for v in corner),
                 cube_side=float(side),
-                parent_mass=float(cube_mass),
-                threshold=float(threshold),
+                parent_mass=cube_mass / total,
+                threshold=c_num * cube_mass / (c_den * total),
                 child_indices=(a, b),
             )
 
-        heaviest = max(child_mass.items(), key=lambda kv: (kv[1], [-v for v in kv[0]]))
-        key = heaviest[0]
-        quarter = side / 4
-        origin = tuple(o + k * quarter for o, k in zip(origin, key))
-        side = quarter
+        key = max(child_mass.items(), key=lambda kv: (kv[1], [-v for v in kv[0]]))[0]
+        corner = [4 * v + k for v, k in zip(corner, key)]
         cube_mass = child_mass[key]
         keep = inverse == keys.index(key)
         index, rel = index[keep], rel[keep]
@@ -378,7 +377,7 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
         rows, denom = piece.base._scaled_rows()
         rows = rows[:, perm]
         rows[:, flips] = denom - rows[:, flips]
-        return WeightedPointSet(base=PointSet._from_scaled(rows, denom), masses=piece.masses)
+        return WeightedPointSet._from_weights(PointSet._from_scaled(rows, denom), *piece._weights)
 
     first, second = split.pieces
     if split.child_indices != (a, b):
@@ -476,7 +475,7 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray:
     arr1 = mu1.base.as_array()
     arr2 = mu2.base.as_array()
     d = arr1.shape[1]
-    w = float(mu1.masses[0]) * float(mu2.masses[0])
+    w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
     axes1 = [np.unique(arr1[:, i]) for i in range(d)]
     axes2 = [np.unique(arr2[:, i]) for i in range(d)]
     den_vals, den_counts = _cross_diff_histogram(axes1[-1], axes2[-1])
@@ -631,7 +630,7 @@ def slope_band_sweep(
     child cubes and need the laxer gate to split at level one.
     """
     d = mu.base.dimension
-    s = float(s)
+    s = _exponent(s)
     eps_values = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_values:
         raise PreconditionFailed("need at least one window width")

@@ -342,6 +342,24 @@ class TestExperimentAndErrors:
         assert code == 2
         assert err.startswith("error:") and "[bad-family]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["band", "--s", "0", "--eps", "0.1"],
+            ["band", "--s", "-1", "--eps", "0.1"],
+            ["adaptable", "--s", "0", "--bound", "5"],
+            ["adaptable", "--s", "nan", "--bound", "3"],
+            ["energy", "--s", "nan"],
+            ["energy", "--s", "inf"],
+        ],
+        ids=["band-0", "band-negative", "adaptable-0", "adaptable-nan", "energy-nan", "energy-inf"],
+    )
+    def test_bad_exponent_is_usage_error(self, tmp_path, capsys, argv):
+        points = write_points(tmp_path, "sq.txt", SQUARE)
+        code, out, err = run_cli(capsys, "measure", argv[0], points, *argv[1:])
+        assert code == 2
+        assert err.startswith("error:") and "finite and positive" in err and out == ""
+
     def test_too_fine_coverage_pitch_is_usage_error(self, tmp_path, capsys):
         points = write_points(tmp_path, "sq.txt", SQUARE)
         code, out, err = run_cli(capsys, "directions", "coverage", points, "--eps", "1e-200")

@@ -38,7 +38,7 @@ from dirlab import (
     sphere_coverage,
     sphere_coverage_sweep,
 )
-from dirlab.directions import _unit_rows
+from dirlab.directions import DENSE_CELL_LIMIT, _unit_rows
 from dirlab.geometry import DirectionKey, _unique_rows
 
 point_sets = st.lists(
@@ -661,7 +661,7 @@ def oracle_coverage(ps, eps, antipodal):
 
 
 class TestCoverageAgainstOracle:
-    """Both hit accumulators (dense array, Counter past 2^26 cells) per pair."""
+    """Both hit accumulators (dense array, Counter past DENSE_CELL_LIMIT cells) per pair."""
 
     @pytest.mark.parametrize("antipodal", [True, False])
     @pytest.mark.parametrize("kind", ["exact", "float", "product"])
@@ -677,7 +677,7 @@ class TestCoverageAgainstOracle:
             pts = [tuple(rng.random() for _ in range(3)) for _ in range(25)]
         ps = PointSet.from_points(pts)
         grid = sphere_coverage(ps, eps, antipodal=antipodal)
-        assert (grid.total_cells > 1 << 26) == (eps < 0.01)
+        assert (grid.total_cells > DENSE_CELL_LIMIT) == (eps < 0.01)
         assert grid.cells == oracle_coverage(ps, eps, antipodal)
 
     def test_codes_past_int64(self):

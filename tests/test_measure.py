@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from dirlab import (
     stopping_time_split,
     uniform_weights,
 )
+from dirlab.geometry import MAX_DENOMINATOR
 
 CANTOR_S = 2 * math.log(3) / math.log(4)
 
@@ -112,6 +114,97 @@ class TestWeightedPointSet:
     def test_uniform_weights_radius(self):
         mu = uniform_weights(lattice_set(LatticeSpec(q=2, d=2)), s=1.5)
         assert mu.thickening_radius == pytest.approx(9.0 ** (-1 / 1.5))
+
+
+@st.composite
+def weighted_sets(draw):
+    """Measures of every mass form, with their kind: uniform on exact and
+    float bases, non-uniform exact with denominators within and past 2^31,
+    float masses, and masses mixing Fractions and floats."""
+    n = draw(st.integers(1, 12))
+    pts = [(Fraction(i, n), Fraction(i * i, n * n)) for i in range(n)]
+    kind = draw(st.sampled_from(["uniform", "uniform float", "exact", "wide", "float", "mixed"]))
+    if kind.startswith("uniform"):
+        base = PointSet.from_points(pts, mode="float" if kind == "uniform float" else "exact")
+        return uniform_weights(base), kind, None
+    units = draw(st.lists(st.integers(0, 2**40 if kind == "wide" else 9), min_size=n, max_size=n))
+    units[0] += 2**32 if kind == "wide" else 1
+    total = sum(units)
+    masses = tuple(u / total if kind == "float" or (kind == "mixed" and i % 2) else Fraction(u, total)
+                   for i, u in enumerate(units))
+    return WeightedPointSet(PointSet.from_points(pts), masses), kind, masses
+
+
+class TestMassForm:
+    """One stored form (weights, denominator) behind every mass view."""
+
+    @given(weighted_sets())
+    def test_mass_array_is_float_of_each_mass(self, drawn):
+        mu, kind, given_masses = drawn
+        want = np.array([float(m) for m in mu.masses], dtype=np.float64)
+        assert mu.mass_array().tobytes() == want.tobytes()
+        if given_masses is not None:
+            assert mu.masses is given_masses
+        weights, denom = mu._weights
+        if kind in ("uniform float", "float") or (kind == "mixed" and len(mu) > 1):
+            assert weights.dtype == np.float64 and denom == 1.0 and not mu.exact
+        else:
+            assert mu.exact and weights.sum() == denom
+            assert math.gcd(denom, *weights.tolist()) == 1
+            assert (weights.dtype == np.int64) == (denom <= MAX_DENOMINATOR)
+            assert all(type(m) is Fraction for m in mu.masses)
+
+    def test_forms_of_known_measures(self):
+        exact = PointSet.from_points([(0, 0), (1, 1), (2, 0)])
+        floats = PointSet.from_points([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
+        mu = uniform_weights(exact)
+        assert mu._weights[0].tolist() == [1, 1, 1] and mu._weights[1] == 3
+        assert mu.masses == (Fraction(1, 3),) * 3 and len({id(m) for m in mu.masses}) == 1
+        mu = uniform_weights(floats)
+        assert mu.masses == (1 / 3,) * 3 and all(type(m) is float for m in mu.masses)
+        mu = WeightedPointSet(exact, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        assert mu._weights[0].tolist() == [2, 1, 1] and mu._weights[1] == 4
+        big = 2**61 - 1
+        mu = WeightedPointSet(exact, (Fraction(1, big), Fraction(2, big), Fraction(big - 3, big)))
+        assert mu._weights[0].dtype == object and mu._weights[1] == big
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted", "float masses", "float"])
+    def test_split_pieces_keep_mass_types(self, kind):
+        base = lattice_set(LatticeSpec(q=4, d=2))
+        if kind == "float":
+            base = PointSet.from_points([tuple(float(v) for v in p) for p in base.points])
+        units = [1 + i % 3 for i in range(len(base))]
+        total = sum(units)
+        masses = tuple(Fraction(u, total) if kind == "weighted" else u / total for u in units)
+        mu = uniform_weights(base) if kind == "uniform" else WeightedPointSet(base, masses)
+        split = stopping_time_split(mu, c=Fraction(1, 16))
+        want = reference_split(mu, c=Fraction(1, 16))
+        piece_type = Fraction if kind in ("uniform", "weighted") else float
+        for got_piece, want_piece, piece_mass in zip(split.pieces, want.pieces, split.piece_masses):
+            assert type(piece_mass) is piece_type
+            assert got_piece.masses == want_piece.masses
+            assert all(type(m) is piece_type for m in got_piece.masses)
+            assert (got_piece.uniform, got_piece.exact) == (want_piece.uniform, want_piece.exact)
+            assert got_piece.exact == (piece_type is Fraction)
+
+
+class TestBadExponent:
+    """A non-finite or non-positive s is refused before any arithmetic."""
+
+    @pytest.mark.parametrize("s", [0, -1, Fraction(-1, 2), math.nan, math.inf, -math.inf])
+    def test_refused(self, s):
+        P = lattice_set(LatticeSpec(q=2, d=2))
+        calls = [
+            lambda: uniform_weights(P, s=s),
+            lambda: energy_integral(uniform_weights(P), s),
+            lambda: is_adaptable(P, s, bound=5.0),
+            lambda: is_adaptable(P, s),
+            lambda: slope_band_sweep(cantor_measure(2), s, [1 / 8]),
+            lambda: discrete_frostman(P, s),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionFailed):
+                call()
 
 
 class TestDiscreteFrostman:
