@@ -217,13 +217,16 @@ def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
 _PAIR_BLOCK = 300_000
 
 
-def _is_product_support(arr: np.ndarray) -> bool:
-    count = 1
+def _product_axes(arr: np.ndarray) -> list | None:
+    """Each column's sorted distinct values when the rows, distinct as in every
+    PointSet, are exactly their Cartesian product; None otherwise."""
+    axes, count = [], 1
     for k in range(arr.shape[1]):
-        count *= len(np.unique(arr[:, k]))
+        axes.append(np.unique(arr[:, k]))
+        count *= len(axes[-1])
         if count > len(arr):
-            return False
-    return count == len(arr)
+            return None
+    return axes if count == len(arr) else None
 
 
 def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
@@ -233,19 +236,27 @@ def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
     return np.unique(np.subtract.outer(v1, v2), return_counts=True)
 
 
-def _pair_loop(arr: np.ndarray, weights: np.ndarray | None):
-    """Blocks of (x_j - x_i, multiplicity) over all index pairs i < j, in (i, j) order."""
-    n = len(arr)
-    rows = max(1, _PAIR_BLOCK // max(1, n))
+def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | None = None,
+               other_weights: np.ndarray | None = None, block: int = _PAIR_BLOCK):
+    """Blocks of about block pairs (y_j - x_i, multiplicity), x_i a row of arr,
+    in (i, j) order: the cross form takes every row y_j of other, the plain
+    form the rows x_j of arr with i < j.  Multiplicity is 1 (int64) without
+    weights, else weights[i] * other_weights[j] (weights[j] in the plain form)."""
+    cross = other is not None
+    if not cross:
+        other, other_weights = arr, weights
+    n = len(other)
+    rows = max(1, block // max(1, n))
+    stop = len(arr) if cross else n - 1
     cols = np.arange(n)
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        mask = cols[None, :] > np.arange(i0, i1)[:, None]
-        diffs = (arr[None, :, :] - arr[i0:i1, None, :])[mask]
+    for i0 in range(0, stop, rows):
+        i1 = min(i0 + rows, stop)
+        pick = ... if cross else cols[None, :] > np.arange(i0, i1)[:, None]
+        diffs = (other[None, :, :] - arr[i0:i1, None, :])[pick].reshape(-1, arr.shape[1])
         if weights is None:
             yield diffs, np.ones(len(diffs), dtype=np.int64)
         else:
-            yield diffs, (weights[i0:i1, None] * weights[None, :])[mask]
+            yield diffs, (weights[i0:i1, None] * other_weights[None, :])[pick].ravel()
 
 
 def _product_differences(hists: list):
@@ -278,9 +289,9 @@ def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
     instead, first nonzero entry positive, with its pair count.  Entries are
     a - b of the same axis values either way, so the rows are bit-identical.
     """
-    n, d = arr.shape
-    if weights is None and _is_product_support(arr):
-        hists = [_cross_diff_histogram(a, a) for a in (np.unique(arr[:, k]) for k in range(d))]
+    n = len(arr)
+    if weights is None and (axes := _product_axes(arr)) is not None:
+        hists = [_cross_diff_histogram(a, a) for a in axes]
         if math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
             return _product_differences(hists)
     return _pair_loop(arr, weights)

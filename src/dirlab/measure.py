@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _fits, _group_sums
-from .geometry import _is_product_support, _lowest_terms, _pair_differences, _sorted_unique
+from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _fits, _group_sums, _lowest_terms
+from .geometry import _pair_differences, _pair_loop, _product_axes, _sorted_unique
 
 
 class WeightedPointSet:
@@ -159,37 +159,33 @@ def discrete_frostman(P: PointSet, s) -> WeightedPointSet:
 def energy_integral(mu: WeightedPointSet, s):
     """Sum over ordered pairs of m_i * m_j * |p_i - p_j|^(-s).
 
-    Exact rational arithmetic when the base, the masses, and s/2 are all
-    rational-friendly (s a positive even integer); float64 otherwise, with
-    a fixed summation order so results are reproducible.
+    One pass over the pair differences of the stored rows (integers over D for
+    exact bases).  Exact rational arithmetic when the base and the masses are
+    exact and s is a positive even integer; float64 otherwise, from the squared
+    distances divided by D^2, with a fixed summation order so results are
+    reproducible.
     """
     value = _exponent(s)
-    n = len(mu)
-    if n < 2:
+    if len(mu) < 2:
         return Fraction(0) if mu.base.mode == "exact" else 0.0
-
-    s_int = int(s) if value == int(s) else None
-    if mu.base.mode == "exact" and mu.exact and s_int is not None and s_int % 2 == 0:
-        # Integers over the common denominator; Python ints past the int64
-        # bounds and wherever |x - y|^2 could overflow int64.
-        arr, denom = mu.base._scaled_rows()
-        if 4 * mu.base.dimension * int(np.abs(arr).max()) ** 2 >= 1 << 63:
-            arr = arr.astype(object)
-        # Masses enter as integer numerators (all 1 for uniform masses, which
-        # keeps the product path open); pair weights stay below denominator^2.
-        weights, mass_denom = mu._weights
-        grouped = Counter()
-        for diffs, mult in _pair_differences(arr, None if mu.uniform else weights):
-            grouped.update(_group_sums((diffs * diffs).sum(axis=1), mult))
-        total = sum(Fraction(weight) / r2 ** (s_int // 2) for r2, weight in grouped.items())
-        return 2 * Fraction(denom**s_int, mass_denom**2) * total
-
-    masses = mu.mass_array()
-    exponent = -value / 2.0
-    total = 0.0
-    for diffs, mult in _pair_differences(mu.base.as_array(), None if mu.uniform else masses):
-        total += float((mult * (diffs * diffs).sum(axis=1) ** exponent).sum())
-    return 2.0 * total * (float(masses[0]) ** 2 if mu.uniform else 1.0)
+    rows, denom = mu.base._scaled_rows()
+    if mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63:
+        rows = rows.astype(object)  # Python ints wherever |x - y|^2 could overflow int64
+    even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
+    # Exact masses enter as integer numerators (all 1 for uniform masses, which
+    # keeps the product path open); pair weights stay below denominator^2.
+    weights, mass_denom = mu._weights if even else (mu.mass_array(), 1.0)
+    grouped, total = Counter(), 0.0
+    for diffs, mult in _pair_differences(rows, None if mu.uniform else weights):
+        r2 = (diffs * diffs).sum(axis=1)
+        if even:
+            grouped.update(_group_sums(r2, mult))
+        else:
+            total += float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
+    if even:
+        total = sum(Fraction(weight) / r2 ** int(value // 2) for r2, weight in grouped.items())
+        return 2 * Fraction(denom ** int(value), mass_denom**2) * total
+    return 2.0 * total * (float(weights[0]) ** 2 if mu.uniform else 1.0)
 
 
 @dataclass(frozen=True)
@@ -206,12 +202,11 @@ class AdaptabilityReport:
 
 def default_energy_bound(d: int, s) -> float:
     """4d(1 + 1/(s - (d-1))); total only above the critical exponent d-1."""
-    s = float(s)
-    if s <= d - 1:
+    if math.isfinite(float(s)) and float(s) <= d - 1:
         raise PreconditionFailed(
             f"no default energy bound below the critical exponent {d - 1}; pass one"
         )
-    return 4.0 * d * (1.0 + 1.0 / (s - (d - 1)))
+    return 4.0 * d * (1.0 + 1.0 / (_exponent(s) - (d - 1)))
 
 
 def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityReport:
@@ -389,7 +384,7 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     """Max of cube mass / side^s over dyadic cubes down to side 2^(-depth)."""
     if depth < 1:
         raise PreconditionFailed("depth must be at least 1")
-    s = float(s)
+    s = _exponent(s)
     arr = mu.base.as_array()
     w = mu.mass_array()
     d = arr.shape[1]
@@ -466,25 +461,27 @@ def _interval_counts(values, prefix, lo, hi):
 _EINSUM = {1: "a,aj->j", 2: "a,aj,ak->jk", 3: "a,aj,ak,al->jkl"}
 
 
-def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray:
-    """Pair mass per window cell for product supports with uniform masses.
+def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray | None:
+    """Pair mass per window cell for uniform masses on product supports; None
+    for any other pair of measures.
 
-    On a perfect product support a pair count factors over axes as a
-    product of per-axis value-pair counts, so histograms run on the
-    distinct per-axis values, never the full columns."""
-    arr1 = mu1.base.as_array()
-    arr2 = mu2.base.as_array()
-    d = arr1.shape[1]
+    On a product support a pair count factors over axes into per-axis
+    value-pair counts, so histograms run on the distinct axis values, never
+    the full columns.  The work is bounded by the distinct last-axis cross
+    differences, which never outnumber the pairs."""
+    if not (mu1.uniform and mu2.uniform):
+        return None
+    axes1, axes2 = (_product_axes(mu.base.as_array()) for mu in (mu1, mu2))
+    if axes1 is None or axes2 is None:
+        return None
+    d = len(axes1)
     w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
-    axes1 = [np.unique(arr1[:, i]) for i in range(d)]
-    axes2 = [np.unique(arr2[:, i]) for i in range(d)]
     den_vals, den_counts = _cross_diff_histogram(axes1[-1], axes2[-1])
     tables = [_axis_pair_table(axes1[i], axes2[i]) for i in range(d - 1)]
     g = len(lo)
-    shape = (g,) * (d - 1)
-    total = np.zeros(shape, dtype=np.float64)
+    total = np.zeros((g,) * (d - 1), dtype=np.float64)
     spec = _EINSUM[d - 1]
-    chunk = max(1, 20_000_000 // max(1, g * (d - 1)))
+    chunk = max(1, _PAIR_BLOCK // g)  # each denominator expands into g windows per axis
     for a0 in range(0, len(den_vals), chunk):
         a = den_vals[a0 : a0 + chunk]
         cnt = den_counts[a0 : a0 + chunk].astype(np.float64)
@@ -498,22 +495,15 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray:
 
 
 def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
-    """Direct pair scan fallback; identical window semantics as the product path."""
-    arr1 = mu1.base.as_array()
-    arr2 = mu2.base.as_array()
-    w1 = mu1.mass_array()
-    w2 = mu2.mass_array()
-    d = arr1.shape[1]
+    """Direct scan over the cross pairs y - x of the shared pair loop, x in mu1
+    and y in mu2; the window test is symmetric under the swap, so the window
+    semantics are those of the product path."""
+    d = mu1.base.dimension
     g = len(lo)
-    shape = (g,) * (d - 1)
-    total = np.zeros(shape, dtype=np.float64)
+    total = np.zeros((g,) * (d - 1), dtype=np.float64)
     spec = _EINSUM[d - 1]
-    n2 = len(arr2)
-    rows = max(1, _PAIR_BLOCK // max(1, n2 * g))
-    for i0 in range(0, len(arr1), rows):
-        block = arr1[i0 : i0 + rows]
-        diffs = (block[:, None, :] - arr2[None, :, :]).reshape(-1, d)
-        wp = (w1[i0 : i0 + rows, None] * w2[None, :]).ravel()
+    for diffs, wp in _pair_loop(mu1.base.as_array(), mu1.mass_array(), mu2.base.as_array(),
+                                mu2.mass_array(), block=_PAIR_BLOCK // g):
         lo_eff, hi_eff = _scaled_window(diffs[:, -1], lo, hi)
         factors = [
             (diffs[:, i][:, None] >= lo_eff) & (diffs[:, i][:, None] <= hi_eff)
@@ -524,18 +514,10 @@ def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
 
 
 def _window_mass(mu1, mu2, lo, hi) -> np.ndarray:
-    d = mu1.base.dimension
-    if d - 1 not in _EINSUM:
+    if mu1.base.dimension - 1 not in _EINSUM:
         raise PreconditionFailed("slope densities support dimensions 2 through 4")
-    if (
-        mu1.uniform
-        and mu2.uniform
-        and len(mu1) * len(mu2) >= 250_000
-        and _is_product_support(mu1.base.as_array())
-        and _is_product_support(mu2.base.as_array())
-    ):
-        return _window_mass_product(mu1, mu2, lo, hi)
-    return _window_mass_scan(mu1, mu2, lo, hi)
+    mass = _window_mass_product(mu1, mu2, lo, hi)
+    return _window_mass_scan(mu1, mu2, lo, hi) if mass is None else mass
 
 
 def _check_slope_inputs(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from dirlab import (
     stopping_time_split,
     uniform_weights,
 )
+from dirlab import measure
 from dirlab.geometry import MAX_DENOMINATOR
 
 CANTOR_S = 2 * math.log(3) / math.log(4)
@@ -206,6 +208,22 @@ class TestBadExponent:
             with pytest.raises(PreconditionFailed):
                 call()
 
+    @pytest.mark.parametrize("s", [0, -1, math.nan, math.inf, -math.inf])
+    def test_frostman_constant_refuses(self, s):
+        mu = uniform_weights(lattice_set(LatticeSpec(q=3, d=2)))
+        with pytest.raises(PreconditionFailed, match="finite and positive"):
+            frostman_constant(mu, s, 3)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_default_energy_bound_refuses_non_finite(self, s):
+        with pytest.raises(PreconditionFailed, match="finite and positive"):
+            default_energy_bound(2, s)
+
+    @pytest.mark.parametrize("s", [1, 0, -1])
+    def test_default_energy_bound_keeps_critical_message(self, s):
+        with pytest.raises(PreconditionFailed, match="critical exponent"):
+            default_energy_bound(2, s)
+
 
 class TestDiscreteFrostman:
     def test_nine_point_lattice(self):
@@ -339,6 +357,29 @@ class TestEnergyPaths:
         pts = [(0, 0, 0), (2**39, 1, 0), (0, 2**39, 3), (5, 7, 2**39)]
         mu = uniform_weights(PointSet.from_points(pts))
         assert energy_integral(mu, 4) == brute_energy(pts, list(mu.masses), 4)
+
+    @given(product_point_sets(max_axis=4, modes=("exact",)), st.integers(0, 2**16))
+    def test_exact_base_float_energy_matches_brute_force(self, ps, seed):
+        # weighted pairs always take the pair loop; uniform ones run on both paths
+        rng = random.Random(seed)
+        units = [rng.randint(1, 5) for _ in range(len(ps))]
+        masses = [Fraction(u, sum(units)) for u in units]
+        mu = WeightedPointSet(base=ps, masses=masses)
+        want = brute_energy(list(ps.points), masses, 1.5)
+        assert energy_integral(mu, 1.5) == pytest.approx(want, rel=1e-12)
+        want = brute_energy(list(ps.points), [Fraction(1, len(ps))] * len(ps), 1.5)
+        for got in on_both_paths(lambda P: energy_integral(uniform_weights(P), 1.5), ps):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_points_equal_in_float_stay_apart(self):
+        ps = PointSet.from_points([(Fraction(1, 2), 0), (Fraction(1, 2) + Fraction(1, 2**80), 0)])
+        assert ps.as_array()[0].tolist() == ps.as_array()[1].tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert energy_integral(uniform_weights(ps), 1) == 2.0**79
+            report = is_adaptable(ps, 1, bound=5)
+        assert report.energy == 2.0**79
+        assert not report.passed
 
 
 class TestAdaptability:
@@ -698,6 +739,59 @@ class TestSlopeDensity:
     def test_boundary_pair_chart_mass_exact(self):
         m1, m2 = self.boundary_pair()
         assert slope_chart_pair_mass(m1, m2) == 1.0
+
+
+@st.composite
+def separated_product_pairs(draw):
+    """Two uniform measures on product supports, the first above the second
+    on the last axis; exact or float, with axis sizes that are all powers of
+    two or arbitrary."""
+    d = draw(st.sampled_from((2, 3)))
+    den = draw(st.integers(5, 24))
+    dyadic = draw(st.booleans())
+    size = st.sampled_from((1, 2, 4)) if dyadic else st.integers(1, 5)
+    mode = draw(st.sampled_from(("exact", "float")))
+
+    def support(last_lo, last_hi):
+        axes = [draw(st.lists(st.integers(-den, den), min_size=k, max_size=k, unique=True))
+                for k in (draw(size) for _ in range(d - 1))]
+        k = draw(size)
+        axes.append(draw(st.lists(st.integers(last_lo, last_hi), min_size=k, max_size=k, unique=True)))
+        pts = [tuple(Fraction(v, den) for v in p) for p in itertools.product(*axes)]
+        return uniform_weights(PointSet.from_points(pts, mode=mode))
+
+    return support(1, den), support(-den, 0), dyadic
+
+
+class TestWindowPaths:
+    """The product window against the scan window it replaces."""
+
+    @given(separated_product_pairs(), st.integers(1, 6), st.sampled_from((1 / 16, 1 / 4, 1)))
+    def test_product_matches_scan(self, pair, g, eps):
+        mu1, mu2, dyadic = pair
+        centers = -1 + (np.arange(g) + 0.5) * (2 / g)
+        product = measure._window_mass_product(mu1, mu2, centers - eps, centers + eps)
+        scan = measure._window_mass_scan(mu1, mu2, centers - eps, centers + eps)
+        assert product is not None
+        if dyadic:
+            assert product.tolist() == scan.tolist()
+        else:
+            np.testing.assert_allclose(product, scan, rtol=1e-12, atol=0)
+
+    def test_small_uniform_product_pair_takes_product_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the scan window ran")
+
+        quarter = [Fraction(0), Fraction(1, 4)]
+        upper = uniform_weights(PointSet.from_points(itertools.product(quarter, [Fraction(3, 4), 1])))
+        lower = uniform_weights(PointSet.from_points(itertools.product(quarter, quarter)))
+        want = brute_chart_mass(list(upper.base.points), list(upper.masses),
+                                list(lower.base.points), list(lower.masses))
+        monkeypatch.setattr(measure, "_window_mass_scan", refuse)
+        assert slope_chart_pair_mass(upper, lower) == float(want)
+        weighted = WeightedPointSet(base=lower.base, masses=[Fraction(1, 8)] * 2 + [Fraction(3, 8)] * 2)
+        with pytest.raises(AssertionError, match="scan window"):
+            slope_chart_pair_mass(upper, weighted)
 
 
 class TestSlopeBandSweep:
