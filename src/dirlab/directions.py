@@ -330,18 +330,52 @@ class SeparatedSubset:
     color_classes: int
 
 
-def _greedy(units: np.ndarray, kept: list, candidates: list, delta: float) -> list:
+class _Slabs:
+    """Units sorted on their first coordinate, each with its slab for delta.
+
+    Unit r's slab, units[lo[r]:hi[r]], holds every unit whose first
+    coordinate lies within h = delta (1 + 1e-9) of its own.  Outside it the
+    first coordinates differ by more than delta, so the computed norm of the
+    difference, a rounded sum of nonnegative squares, is at least delta:
+    only units in the slab can be closer.  (This needs delta^2 to stay a
+    normal float; separated_subset's chart side refuses delta below
+    2^-62 / (d + 1).)  rank[pos] is unit pos's place in the sorted order.
+    """
+
+    def __init__(self, units: np.ndarray, delta: float):
+        order = np.argsort(units[:, 0], kind="stable")
+        self.units = units[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.rank = rank.tolist()
+        column = np.ascontiguousarray(self.units[:, 0])
+        h = delta * (1 + 1e-9)
+        self.lo = column.searchsorted(column - h, "left").tolist()
+        self.hi = column.searchsorted(column + h, "right").tolist()
+        self.delta = delta
+
+    def block(self, r: int, blocked: np.ndarray) -> None:
+        """Flag the units of r's slab closer than delta to unit r.  Each
+        pair is the greedy's |kept - candidate| negated, so its norm has
+        the same bits."""
+        lo, hi = self.lo[r], self.hi[r]
+        blocked[lo:hi] |= np.linalg.norm(self.units[lo:hi] - self.units[r], axis=1) < self.delta
+
+
+def _greedy(slabs: _Slabs, kept: list, candidates: list) -> list:
     """kept, then each candidate in order whose unit lies at least delta
-    from every unit kept so far."""
+    from every unit kept so far.  Each kept unit blocks its slab once, so a
+    candidate costs one flag lookup."""
+    rank = slabs.rank
+    blocked = np.zeros(len(rank), dtype=bool)
+    for pos in kept:
+        slabs.block(rank[pos], blocked)
     chosen = list(kept)
-    buf = np.empty((len(chosen) + len(candidates), units.shape[1]))
-    buf[: len(chosen)] = units[chosen]
     for pos in candidates:
-        n = len(chosen)
-        if n and np.linalg.norm(buf[:n] - units[pos], axis=1).min() < delta:
-            continue
-        buf[n] = units[pos]
-        chosen.append(pos)
+        r = rank[pos]
+        if not blocked[r]:
+            slabs.block(r, blocked)
+            chosen.append(pos)
     return chosen
 
 
@@ -355,15 +389,23 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     class then grows by the remaining keys, in order, that respect the
     separation.  If it falls below occupied/2^(d-1) the grid is coarsened
     and retried, so the reported occupied count always matches the pitch.
+    Every pass and retry shares one _Slabs index of the units.  Keys held
+    as a plain set (not a DirectionKeys) are taken as rows in rep order.
     """
     if not (0 < delta <= 1):
         raise PreconditionFailed(f"separation {delta} outside (0, 1]")
     keys = census.keys
+    if not len(keys):
+        raise PreconditionFailed("no direction keys to separate")
+    if not isinstance(keys, DirectionKeys):
+        keys = DirectionKeys(np.array(sorted(key.rep for key in keys), dtype=object), 1,
+                             next(iter(keys)).exact, census.antipodal_identified)
     units = _unit_rows(np.array(keys.rows * keys.scale, dtype=np.float64))
     d = units.shape[1]
     n_classes = 2 ** (d - 1)
     pitch = (d + 1) * delta
     face, other = _face_decompose(units)
+    slabs = _Slabs(units, delta)
 
     while True:
         codes, idx = _chart_codes(face, other, pitch)
@@ -373,14 +415,14 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
         sigma = (idx[first] % 2) @ (1 << np.arange(d - 2, -1, -1))
         best: list[int] = []
         for s in np.unique(sigma):
-            kept = _greedy(units, [], first[sigma == s].tolist(), delta)
+            kept = _greedy(slabs, [], first[sigma == s].tolist())
             if len(kept) > len(best):
                 best = kept
 
         if len(best) >= math.ceil(occupied / n_classes):
             rest = np.setdiff1d(np.arange(len(keys)), best).tolist()
             return SeparatedSubset(
-                keys=keys.keys_at(_greedy(units, best, rest, delta)),
+                keys=keys.keys_at(_greedy(slabs, best, rest)),
                 delta=delta,
                 pitch=pitch,
                 occupied_cells=occupied,

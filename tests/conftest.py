@@ -26,6 +26,15 @@ settings.register_profile(
     suppress_health_check=list(HealthCheck),
     derandomize=True,
 )
+# deep: more examples for the oracle tests, chosen on the command line
+# with --hypothesis-profile=deep
+settings.register_profile(
+    "deep",
+    deadline=None,
+    max_examples=500,
+    suppress_health_check=list(HealthCheck),
+    derandomize=True,
+)
 settings.load_profile("suite")
 
 

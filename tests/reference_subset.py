@@ -6,6 +6,9 @@ units from DirectionKey.unit_vector() one key at a time, chart cells as
 tuples, and two hand-written greedy loops that re-index the kept units for
 every candidate.  The oracle tests compare the library against it field by
 field.
+
+greedy is the array greedy that followed, one norm over every kept unit
+per candidate; the library's slab greedy is compared with it pass by pass.
 """
 
 from __future__ import annotations
@@ -89,3 +92,18 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
                 color_classes=n_classes,
             )
         pitch *= 2
+
+
+def greedy(units: np.ndarray, kept: list, candidates: list, delta: float) -> list:
+    """kept, then each candidate in order whose unit lies at least delta
+    from every unit kept so far."""
+    chosen = list(kept)
+    buf = np.empty((len(chosen) + len(candidates), units.shape[1]))
+    buf[: len(chosen)] = units[chosen]
+    for pos in candidates:
+        n = len(chosen)
+        if n and np.linalg.norm(buf[:n] - units[pos], axis=1).min() < delta:
+            continue
+        buf[n] = units[pos]
+        chosen.append(pos)
+    return chosen

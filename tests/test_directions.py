@@ -34,11 +34,12 @@ from dirlab import (
     lattice_set,
     pps_check,
     primitive_count,
+    product_cantor,
     separated_subset,
     sphere_coverage,
     sphere_coverage_sweep,
 )
-from dirlab.directions import DENSE_CELL_LIMIT, _unit_rows
+from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _unit_rows
 from dirlab.geometry import DirectionKey, _unique_rows
 
 point_sets = st.lists(
@@ -578,6 +579,17 @@ def small_censuses(draw):
     return distinct_directions(PointSet.from_points(pts), antipodal=draw(st.booleans()))
 
 
+def assert_subset_matches_reference_at_gap(census, gap):
+    """The subset at delta = gap and one ulp either side; one ulp past a gap
+    of exactly 1 lies outside (0, 1] and is refused."""
+    for delta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)):
+        if delta > 1:
+            with pytest.raises(PreconditionFailed):
+                separated_subset(census, float(delta))
+        else:
+            assert_subset_matches_reference(census, float(delta))
+
+
 def unit_gaps(census):
     """Distinct gaps |u - v| between census units, computed as the greedy does."""
     units = np.array([k.unit_vector() for k in census.keys])
@@ -599,9 +611,7 @@ class TestSubsetAgainstReference:
         gaps = unit_gaps(census)
         gaps = gaps[(gaps > 0) & (gaps <= 1)]
         assume(len(gaps))
-        gap = data.draw(st.sampled_from(gaps.tolist()))
-        for delta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)):
-            assert_subset_matches_reference(census, float(delta))
+        assert_subset_matches_reference_at_gap(census, data.draw(st.sampled_from(gaps.tolist())))
 
     @pytest.mark.parametrize("antipodal", [True, False])
     @pytest.mark.parametrize("q,d", [(6, 2), (3, 3)])
@@ -609,8 +619,7 @@ class TestSubsetAgainstReference:
         census = distinct_directions(lattice_set(LatticeSpec(q=q, d=d)), antipodal)
         gaps = unit_gaps(census)
         for gap in gaps[gaps <= 1][:: max(1, len(gaps) // 12)]:
-            for delta in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)):
-                assert_subset_matches_reference(census, float(delta))
+            assert_subset_matches_reference_at_gap(census, gap)
 
     def test_codes_past_int64(self):
         """d = 8 at delta 1e-4 has 16 * 2223^7 chart cells, past int64 codes."""
@@ -637,6 +646,139 @@ class TestSubsetAgainstReference:
         assert got.tobytes() == want.tobytes()
         assert_subset_matches_reference(census, 0.05)
 
+
+
+class TestSubsetOfAKeySet:
+    """A census whose keys were replaced by a plain set of DirectionKeys."""
+
+    @pytest.mark.parametrize("kind", ["exact", "float", "signed", "past-2^63"])
+    def test_matches_reference(self, kind):
+        rng = random.Random(17)
+        if kind == "float":
+            pts = [tuple(rng.random() for _ in range(3)) for _ in range(12)]
+        elif kind == "past-2^63":
+            pts = [tuple(rng.randrange(-(1 << 70), 1 << 70) for _ in range(3)) for _ in range(8)]
+        else:
+            pts = random_rational_points(rng, 12, 3, denom=7)
+        census = distinct_directions(PointSet.from_points(pts), kind != "signed")
+        plain = dataclasses.replace(census, keys=frozenset(census.keys))
+        for delta in (0.05, 0.3):
+            assert_subset_matches_reference(plain, delta)
+            assert separated_subset(plain, delta) == separated_subset(census, delta)
+
+    def test_empty_keys_refused(self):
+        census = distinct_directions(lattice_set(LatticeSpec(q=2, d=2)), True)
+        for empty in (frozenset(), DirectionKeys(np.empty((0, 2), dtype=np.int64), 1, True, True)):
+            with pytest.raises(PreconditionFailed):
+                separated_subset(dataclasses.replace(census, keys=empty), 0.1)
+
+
+@st.composite
+def greedy_cases(draw):
+    """(units, delta, kept, candidates) for _greedy and reference_subset.greedy.
+
+    d in 2..9 (numpy sums rows of 8 or more squares pairwise).  The rows
+    are unit rows; or share one first coordinate, so every slab is the
+    whole set; or take first coordinates on the slab edges of an anchor a:
+    a, a +- delta and a +- h with h = delta (1 + 1e-9), each also one ulp
+    either side (a = 0 or -delta/2 makes a +- delta exact), and the other
+    coordinates all equal or not.  Other coordinates repeat a few values,
+    so many gaps tie.  delta may then move
+    to a computed gap between two rows or one ulp either side of it, no
+    finer than separated_subset allows (2^-62 / (d + 1), from the chart
+    side).  kept and candidates are distinct positions in random order.
+    """
+    d = draw(st.integers(2, 9))
+    delta = draw(st.sampled_from((0.01, 0.1, 0.25, 0.5, 1.0)) | st.floats(1e-6, 1.0))
+    k = draw(st.integers(1, 24))
+    coord = st.sampled_from((0.0, 0.125, -0.5)) | st.floats(-1.0, 1.0)
+    rows = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=k, max_size=k)))
+    layout = draw(st.sampled_from(("unit", "shared-first", "slab-edges")))
+    if layout == "unit":
+        norms = np.linalg.norm(rows, axis=1)
+        assume(norms.all())
+        rows = rows / norms[:, None]
+    elif layout == "shared-first":
+        rows[:, 0] = draw(coord)
+    else:
+        a = draw(st.sampled_from((0.0, -delta / 2)) | st.floats(-1.0, 1.0))
+        h = delta * (1 + 1e-9)
+        edges = [a + t for t in (0.0, delta, -delta, h, -h)]
+        edges += [float(np.nextafter(e, side)) for e in edges for side in (-np.inf, np.inf)]
+        rows[:, 0] = draw(st.lists(st.sampled_from(edges), min_size=k, max_size=k))
+        if draw(st.booleans()):
+            rows[:, 1:] = rows[0, 1:]
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        gap = np.linalg.norm(rows[i] - rows[j])
+        delta = float(draw(st.sampled_from((gap, np.nextafter(gap, 0.0), np.nextafter(gap, 2.0)))))
+        assume(delta >= 2.0 ** -62 / (d + 1))
+    kept = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    candidates = draw(st.permutations(range(k)))[: draw(st.integers(0, k))]
+    return rows, delta, kept, candidates
+
+
+def subset_checking_every_greedy(monkeypatch, census, delta):
+    """separated_subset, each greedy pass checked against reference_subset.greedy
+    on the same units, kept prefix and candidates; also the kept count per pass."""
+    slab_greedy = directions._greedy
+    kept_per_pass = []
+
+    def checked(slabs, kept, candidates):
+        chosen = slab_greedy(slabs, kept, candidates)
+        units = slabs.units[slabs.rank]
+        assert chosen == reference_subset.greedy(units, kept, candidates, delta)
+        kept_per_pass.append(len(chosen))
+        return chosen
+
+    monkeypatch.setattr(directions, "_greedy", checked)
+    return separated_subset(census, delta), kept_per_pass
+
+
+@pytest.fixture(scope="module")
+def cantor_census():
+    """The adaptable-cantor section's census (35,320 keys) and its delta."""
+    ps = product_cantor(2, depth=4, m=3, ratio=Fraction(1, 4))
+    s = 2 * math.log(3) / math.log(4)
+    return distinct_directions(ps, True), float(len(ps)) ** (-1 / s)
+
+
+class TestGreedyAgainstReference:
+    """The slab greedy against the one-norm-per-candidate greedy of reference_subset.py."""
+
+    @given(greedy_cases())
+    def test_same_chosen(self, case):
+        units, delta, kept, candidates = case
+        got = directions._greedy(directions._Slabs(units, delta), kept, candidates)
+        assert got == reference_subset.greedy(units, kept, candidates, delta)
+
+    def test_adaptable_cantor_census(self, monkeypatch, cantor_census):
+        census, delta = cantor_census
+        assert census.count == 35320
+        got, _ = subset_checking_every_greedy(monkeypatch, census, delta)
+        want = reference_subset.separated_subset(census, delta)
+        assert got == want and len(got.keys) == 610
+
+    def test_float_census_in_3d(self, monkeypatch):
+        rng = random.Random(300)
+        ps = PointSet.from_points([tuple(rng.random() for _ in range(3)) for _ in range(300)])
+        census = distinct_directions(ps, True)
+        got, kept_per_pass = subset_checking_every_greedy(monkeypatch, census, 0.02)
+        assert census.count == 44850 and kept_per_pass[-1] == len(got.keys)
+
+
+class TestGreedyBlocksPerKeptUnit:
+    def test_one_block_per_kept_unit(self, monkeypatch, cantor_census):
+        """Each pass blocks a slab for each unit it keeps and for nothing
+        else, so a loop that tests every candidate against the kept units
+        fails here, not just by running slowly."""
+        census, delta = cantor_census
+        blocked = []
+        block = directions._Slabs.block
+        monkeypatch.setattr(directions._Slabs, "block",
+                            lambda slabs, r, flags: blocked.append(r) or block(slabs, r, flags))
+        _, kept_per_pass = subset_checking_every_greedy(monkeypatch, census, delta)
+        assert len(blocked) == sum(kept_per_pass) < census.count // 10
 
 def oracle_coverage(ps, eps, antipodal):
     """{cell code: hits} over pairs, one pair at a time in Python floats."""
