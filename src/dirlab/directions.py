@@ -100,14 +100,21 @@ class DirectionCensus:
 
 
 def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
-    """Rows times the sign of their first nonzero entry."""
-    sign = np.zeros(len(rows), dtype=rows.dtype)
-    for col in rows.T:
-        undecided = sign == 0
-        if not undecided.any():
+    """Rows times the sign of their first nonzero entry, read column by
+    column; later columns are read only at the rows still undecided."""
+    cols = rows.T
+    sign = np.sign(cols[0])
+    for col in cols[1:]:
+        undecided = np.flatnonzero(sign == 0)
+        if not len(undecided):
             break
         sign[undecided] = np.sign(col[undecided])
     return rows * sign[:, None]
+
+
+def _with_negations(rows: np.ndarray) -> np.ndarray:
+    """np.vstack([rows, -rows]), built as columns so they stay contiguous."""
+    return np.hstack([rows.T, -rows.T]).T
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -132,10 +139,10 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
         # primitive integer vectors for exact sets, quantized unit vectors for floats
         for diffs, _ in _pair_differences(arr):
             if exact:
-                q = diffs // np.gcd.reduce(np.abs(diffs), axis=1)[:, None]
+                q = diffs // np.gcd.reduce(diffs.T, axis=0)[:, None]  # column by column
             else:
                 q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
-            yield _flip_to_canonical(q) if antipodal else np.vstack([q, -q])
+            yield _flip_to_canonical(q) if antipodal else _with_negations(q)
 
     if exact:
         bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
@@ -223,15 +230,29 @@ class CoverageGrid:
 
 
 def _face_decompose(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Face code (axis*2 + positive) and in-face coordinates for unit rows."""
+    """Face code (axis*2 + positive) and in-face coordinates for unit rows.
+
+    Column by column, with no fancy index: the axis is the first j whose
+    |u_j| is the largest magnitude, or NaN (ties and NaNs go to the first
+    index, as argmax), and in-face column c is u_c before the axis and
+    u_(c+1) from it on, over that magnitude.  The in-face coordinates have
+    contiguous columns."""
     k, d = unit.shape
-    a = np.argmax(np.abs(unit), axis=1)
-    amp = unit[np.arange(k), a]
-    face = a * 2 + (amp > 0)
-    w = unit / np.abs(amp)[:, None]
-    keep = np.arange(d)[None, :] != a[:, None]
-    other = w[keep].reshape(k, d - 1)
-    return face, other
+    cols = unit.T
+    mags = [np.abs(col) for col in cols]
+    best = mags[0]
+    for mag in mags[1:]:
+        best = np.maximum(best, mag)
+    past = ~((mags[0] == best) | np.isnan(mags[0]))  # whether the axis lies past column c
+    axis, positive = past.astype(np.intp), ~past & (cols[0] > 0)
+    other = np.empty((d - 1, k))
+    for c in range(d - 1):
+        np.divide(np.where(past, cols[c], cols[c + 1]), best, out=other[c])
+        here = past & ((mags[c + 1] == best) | np.isnan(mags[c + 1]))
+        positive |= here & (cols[c + 1] > 0)
+        past &= ~here
+        axis += past
+    return axis * 2 + positive, other.T
 
 
 def _chart_side(pitch: float) -> int:
@@ -280,7 +301,7 @@ def sphere_coverage_sweep(
         if antipodal:
             unit = _flip_to_canonical(unit)
         else:
-            unit = np.vstack([unit, -unit])
+            unit = _with_negations(unit)
             mult = np.concatenate([mult, mult])
         face, other = _face_decompose(unit)
         for eps, acc in zip(eps_list, accums):

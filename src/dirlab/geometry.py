@@ -241,26 +241,38 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
     """Blocks of about block pairs (y_j - x_i, multiplicity), x_i a row of arr,
     in (i, j) order: the cross form takes every row y_j of other, the plain
     form the rows x_j of arr with i < j.  Multiplicity is 1 (int64) without
-    weights, else weights[i] * other_weights[j] (weights[j] in the plain form)."""
+    weights, else weights[i] * other_weights[j] (weights[j] in the plain form).
+
+    Each block of rows i0 <= i < i1 subtracts only against the rows j it can
+    pair with (j > i0 in the plain form) and masks the triangle inside that
+    block.  Its differences fill a (d, m) buffer one coordinate at a time,
+    and the block is that buffer's transpose: (m, d) with contiguous columns.
+    """
     cross = other is not None
     if not cross:
         other, other_weights = arr, weights
-    n = len(other)
+    n, d = other.shape
     rows = max(1, block // max(1, n))
     stop = len(arr) if cross else n - 1
-    cols = np.arange(n)
     for i0 in range(0, stop, rows):
         i1 = min(i0 + rows, stop)
-        pick = ... if cross else cols[None, :] > np.arange(i0, i1)[:, None]
-        diffs = (other[None, :, :] - arr[i0:i1, None, :])[pick].reshape(-1, arr.shape[1])
+        j0 = 0 if cross else i0 + 1
+        pick = ... if cross else np.arange(j0, n)[None, :] > np.arange(i0, i1)[:, None]
+        m = (i1 - i0) * (n - j0) if cross else int(np.count_nonzero(pick))
+        buf = np.empty((d, m), dtype=other.dtype)
+        for k in range(d):
+            diff = other[None, j0:, k] - arr[i0:i1, None, k]
+            buf[k] = diff[pick].ravel()
+            del diff  # one coordinate's block is live at a time
         if weights is None:
-            yield diffs, np.ones(len(diffs), dtype=np.int64)
+            yield buf.T, np.ones(m, dtype=np.int64)
         else:
-            yield diffs, (weights[i0:i1, None] * other_weights[None, :])[pick].ravel()
+            yield buf.T, (weights[i0:i1, None] * other_weights[None, j0:])[pick].ravel()
 
 
 def _product_differences(hists: list):
-    """Distinct differences with first nonzero entry positive, of a product set."""
+    """Distinct differences with first nonzero entry positive, of a product
+    set, in blocks with contiguous columns like _pair_loop's."""
     d = len(hists)
     for k in range(d):
         # zero on the axes before k, positive on axis k, anything after
@@ -270,14 +282,15 @@ def _product_differences(hists: list):
         total = math.prod(len(v) for v, _ in factors)
         for t0 in range(0, total, _PAIR_BLOCK):
             rem = np.arange(t0, min(t0 + _PAIR_BLOCK, total))
-            rows = np.empty((len(rem), d), dtype=hists[0][0].dtype)
+            buf = np.empty((d, len(rem)), dtype=hists[0][0].dtype)
             mult = np.ones(len(rem), dtype=np.int64)
             for j in range(d - 1, -1, -1):
                 v, c = factors[j]
                 rem, idx = np.divmod(rem, len(v))
-                rows[:, j] = v[idx]
+                buf[j] = v[idx]
                 mult *= c[idx]
-            yield rows, mult
+            del rem, idx
+            yield buf.T, mult
 
 
 def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
@@ -288,6 +301,8 @@ def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
     distinct differences than pairs gives each distinct difference once
     instead, first nonzero entry positive, with its pair count.  Entries are
     a - b of the same axis values either way, so the rows are bit-identical.
+    Every block is an (m, d) view with contiguous columns, so diffs[:, k]
+    reads one coordinate without a stride.
     """
     n = len(arr)
     if weights is None and (axes := _product_axes(arr)) is not None:

@@ -117,27 +117,50 @@ def uniform_weights(P: PointSet, s=None) -> WeightedPointSet:
 
 def _separation(P: PointSet, s) -> tuple:
     """The radius n^(-1/s) and the first pair of points closer than it, as
-    (j, i, distance), or None; grid-hash search in float64."""
+    (j, i, distance), or None: the least i, then the least j < i, whose grid
+    cells floor(x / radius) are neighbours and whose float64 distance
+    np.linalg.norm(x_i - x_j) is below the radius.
+
+    Points sorted on their first coordinate give each point its slab, the
+    points within h = max(radius, 2^-500) (1 + 1e-9) of it there.  Slab
+    pairs are screened in order of i, in blocks of a quarter _PAIR_BLOCK
+    (each pair holds several index and coordinate temporaries), on their
+    squared distance at radius^2 (1 + 1e-9) plus 2^-1072 per coordinate.
+    Only the pairs that pass are re-decided, in (i, j) order, by the cells
+    and the norm.  A pair whose norm is below the radius passes both
+    screens: no rounding of its sums of squares, subnormal ones included,
+    moves them by those margins.  So the answer is the one a search of
+    all pairs would give.
+    """
     arr = P.as_array()
     n, d = arr.shape
     radius = float(n) ** (-1.0 / _exponent(s))
     cell = np.floor(arr / radius).astype(np.int64)
-    buckets: dict[tuple, list[int]] = {}
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    for i in range(n):
-        home = tuple(int(v) for v in cell[i])
-        hit = None
-        for off in offsets:
-            bucket = buckets.get(tuple(h + o for h, o in zip(home, off)))
-            if not bucket:
-                continue
-            for j in bucket:
-                dist = float(np.linalg.norm(arr[i] - arr[j]))
-                if dist < radius and (hit is None or j < hit[0]):
-                    hit = (j, dist)
-        if hit is not None:
-            return radius, (hit[0], i, hit[1])
-        buckets.setdefault(home, []).append(i)
+    order = np.argsort(arr[:, 0], kind="stable")
+    column = arr[order, 0]
+    h = max(radius, 2.0**-500) * (1 + 1e-9)
+    lo = column.searchsorted(arr[:, 0] - h, "left")
+    counts = column.searchsorted(arr[:, 0] + h, "right") - lo
+    ends = np.cumsum(counts)
+    shift = lo - ends + counts  # slab pair p of point i is point order[p + shift[i]]
+    screen = radius * radius * (1 + 1e-9) + d * 2.0**-1072
+    i0 = 0
+    while i0 < n:
+        p0 = ends[i0] - counts[i0]
+        i1 = max(i0 + 1, int(np.searchsorted(ends, p0 + _PAIR_BLOCK // 4, "right")))
+        i = np.repeat(np.arange(i0, i1), counts[i0:i1])
+        j = order[np.arange(p0, ends[i1 - 1]) + np.repeat(shift[i0:i1], counts[i0:i1])]
+        keep = j < i
+        i, j = i[keep], j[keep]
+        r2 = sum(np.square(arr[i, k] - arr[j, k]) for k in range(d))
+        near = np.flatnonzero(r2 <= screen)
+        for t in near[np.lexsort((j[near], i[near]))].tolist():
+            a, b = int(i[t]), int(j[t])
+            if all(abs(u - v) <= 1 for u, v in zip(cell[a].tolist(), cell[b].tolist())):
+                dist = float(np.linalg.norm(arr[a] - arr[b]))
+                if dist < radius:
+                    return radius, (b, a, dist)
+        i0 = i1
     return radius, None
 
 
@@ -154,6 +177,24 @@ def discrete_frostman(P: PointSet, s) -> WeightedPointSet:
     if violation is not None:
         raise NotSeparated(*violation, radius)
     return uniform_weights(P, s=s)
+
+
+def _row_sums(cols: list):
+    """The rowwise sum of the given columns, added in the order numpy's
+    pairwise sum takes a contiguous row: left to right below 8 terms, eight
+    interleaved partial sums up to 128, split in halves past that.  Float
+    sums keep the bits of rows.sum(axis=1) on a row-major block."""
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(cols[:half]) + _row_sums(cols[half:])
+    if n < 8:
+        return sum(cols[1:], cols[0])
+    acc = list(cols[:8])
+    for i in range(8, n - n % 8):
+        acc[i % 8] = acc[i % 8] + cols[i]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    return sum(cols[n - n % 8:], total)
 
 
 def energy_integral(mu: WeightedPointSet, s):
@@ -177,7 +218,7 @@ def energy_integral(mu: WeightedPointSet, s):
     weights, mass_denom = mu._weights if even else (mu.mass_array(), 1.0)
     grouped, total = Counter(), 0.0
     for diffs, mult in _pair_differences(rows, None if mu.uniform else weights):
-        r2 = (diffs * diffs).sum(axis=1)
+        r2 = _row_sums([col * col for col in diffs.T])
         if even:
             grouped.update(_group_sums(r2, mult))
         else:

@@ -18,18 +18,7 @@ import math
 import numpy as np
 
 from dirlab.directions import DirectionCensus, SeparatedSubset
-
-
-def face_decompose(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Face code (axis*2 + positive) and in-face coordinates for unit rows."""
-    k, d = unit.shape
-    a = np.argmax(np.abs(unit), axis=1)
-    amp = unit[np.arange(k), a]
-    face = a * 2 + (amp > 0)
-    w = unit / np.abs(amp)[:, None]
-    keep = np.arange(d)[None, :] != a[:, None]
-    other = w[keep].reshape(k, d - 1)
-    return face, other
+from reference_pairs import face_decompose
 
 
 def chart_cells(units: np.ndarray, pitch: float) -> list[tuple]:

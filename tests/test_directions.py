@@ -21,6 +21,7 @@ from conftest import (
     refuse_pair_loop,
 )
 import reference_census
+import reference_pairs
 import reference_subset
 from dirlab import (
     directions,
@@ -39,7 +40,7 @@ from dirlab import (
     sphere_coverage,
     sphere_coverage_sweep,
 )
-from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _unit_rows
+from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _face_decompose, _flip_to_canonical, _unit_rows
 from dirlab.geometry import DirectionKey, _unique_rows
 
 point_sets = st.lists(
@@ -831,3 +832,59 @@ class TestCoverageAgainstOracle:
         for code in grid.cells:
             axis, sign, *idx = grid.decode_cell(code)
             assert 0 <= axis < 8 and sign in (-1, 1) and all(0 <= i < 400 for i in idx)
+
+
+@st.composite
+def face_rows(draw):
+    """Nonzero rows in d = 2..6 with many ties |u_i| = |u_j|, +-0.0 and
+    negative amplitudes, row-major or with contiguous columns, as units or
+    not.  Units of rows whose squares underflow hold inf and NaN."""
+    d = draw(st.integers(2, 6))
+    entry = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 0.3, -0.7, 1e-300])
+    rows = draw(st.lists(st.tuples(*[entry] * d).filter(lambda r: any(r)), min_size=1, max_size=40))
+    rows = np.array(rows, dtype=np.float64)
+    if draw(st.booleans()):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = _unit_rows(rows)
+    return np.asfortranarray(rows) if draw(st.booleans()) else rows
+
+
+class TestFaceDecomposeAgainstReference:
+    """The column-wise face split and sign fix against the argmax and
+    masked-assignment forms of reference_pairs.py."""
+
+    @given(face_rows())
+    def test_faces_and_in_face_coordinates_match(self, rows):
+        with np.errstate(invalid="ignore"):
+            face, other = _face_decompose(rows)
+            ref_face, ref_other = reference_pairs.face_decompose(rows)
+        assert face.dtype == ref_face.dtype and face.tolist() == ref_face.tolist()
+        assert other.shape == ref_other.shape and other.tobytes() == ref_other.tobytes()
+        assert all(other[:, c].flags.c_contiguous for c in range(other.shape[1]))
+
+    @given(face_rows())
+    def test_flip_matches(self, rows):
+        assume(np.isfinite(rows).all())
+        got, want = _flip_to_canonical(rows), reference_pairs.flip_to_canonical(rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        ints = np.rint(rows * 4).astype(np.int64)
+        assert _flip_to_canonical(ints).tolist() == reference_pairs.flip_to_canonical(ints).tolist()
+
+    def test_rows_with_inf_and_nan_match(self):
+        # units of differences whose squares underflow: the first NaN, else
+        # the first inf, is the axis, as for argmax
+        nan, inf = np.nan, np.inf
+        rows = np.array([[inf, nan, 1.0], [nan, inf, 1.0], [1.0, nan, nan], [0.5, inf, -inf],
+                         [-inf, 0.0, inf], [1.0, 2.0, nan], [-0.0, nan, inf]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for unit in (rows, rows[:, :2], _unit_rows(np.array([[1e-300, 0.0], [0.0, -1e-300]]))):
+                face, other = _face_decompose(np.asfortranarray(unit))
+                ref_face, ref_other = reference_pairs.face_decompose(unit)
+                assert face.tolist() == ref_face.tolist() and other.tobytes() == ref_other.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_random_units_match(self, d):
+        units = np.asfortranarray(_unit_rows(np.random.default_rng(d).standard_normal((5000, d))))
+        face, other = _face_decompose(units)
+        ref_face, ref_other = reference_pairs.face_decompose(units)
+        assert face.tolist() == ref_face.tolist() and other.tobytes() == ref_other.tobytes()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_direction
+from conftest import oracle_direction, product_point_sets
 import reference_generators
+import reference_pairs
 from dirlab import (
     DIRECTION_RESOLUTION,
     DegeneratePair,
@@ -24,6 +25,7 @@ from dirlab import (
     slope_of_pair,
     write_point_set,
 )
+from dirlab import geometry
 
 coord = st.integers(min_value=-9, max_value=9).map(
     lambda n: Fraction(n, 4)
@@ -458,3 +460,94 @@ class TestPointSetFiles:
         path.write_text("2 2 complex\n0 0\n1 1\n")
         with pytest.raises(FormatError):
             read_point_set(path)
+
+
+def assert_same_blocks(got, want):
+    """Block for block: shape, dtype and bits of the differences and the
+    multiplicities, with every difference column contiguous."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for (diffs, mult), (ref_diffs, ref_mult) in zip(got, want):
+        assert diffs.shape == ref_diffs.shape and diffs.dtype == ref_diffs.dtype
+        assert all(diffs[:, k].flags.c_contiguous for k in range(diffs.shape[1]))
+        if diffs.dtype == object:
+            assert diffs.tolist() == ref_diffs.tolist()
+            assert {type(v) for v in diffs.ravel()} <= {int}
+        else:
+            assert diffs.tobytes() == ref_diffs.tobytes()  # -0.0 and 0.0 differ here
+        assert mult.dtype == ref_mult.dtype and mult.tobytes() == ref_mult.tobytes()
+
+
+@st.composite
+def pair_loop_inputs(draw):
+    """Rows (int64, Python-int object or float64 with +-0.0), optional
+    weights, an optional second row set and a block size, often below n."""
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["int64", "object", "float64"]))
+    if kind == "float64":
+        entry = st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, 1e-300, -2.5e10, 0.1])
+    else:
+        entry = st.integers(-50, 50).map(lambda v: v << 70 if kind == "object" else v)
+
+    def rows(n):
+        values = draw(st.lists(st.tuples(*[entry] * d), min_size=n, max_size=n))
+        return np.array(values, dtype=kind if kind != "float64" else np.float64).reshape(n, d)
+
+    def weights(n):
+        return np.array(draw(st.lists(st.floats(0, 4, allow_nan=False), min_size=n, max_size=n)))
+
+    n = draw(st.integers(1, 12))
+    arr = rows(n)
+    w = weights(n) if draw(st.booleans()) else None
+    other = other_w = None
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 12))
+        other = rows(m)
+        other_w = None if w is None else weights(m)
+    block = draw(st.integers(1, 2 * n * n + 4))
+    return arr, w, other, other_w, block
+
+
+class TestPairBlocksAgainstReference:
+    """The column-contiguous, upper-triangle pair blocks against the
+    row-major loop of reference_pairs.py."""
+
+    @given(pair_loop_inputs())
+    def test_pair_loop_blocks_match(self, case):
+        arr, w, other, other_w, block = case
+        assert_same_blocks(geometry._pair_loop(arr, w, other, other_w, block=block),
+                           reference_pairs.pair_loop(arr, w, other, other_w, block=block))
+
+    @given(product_point_sets(max_axis=6), st.booleans())
+    def test_product_blocks_match(self, ps, scaled):
+        arr = ps._scaled_rows()[0] if scaled else ps.as_array()
+        axes = geometry._product_axes(arr)
+        hists = [geometry._cross_diff_histogram(a, a) for a in axes]
+        assert_same_blocks(geometry._product_differences(hists),
+                           reference_pairs.product_differences(hists))
+
+    def test_blocks_past_one_block(self):
+        # 900 float points in d = 3 walk several default-size blocks
+        arr = np.random.default_rng(3).standard_normal((900, 3))
+        w = np.random.default_rng(4).random(900)
+        assert_same_blocks(geometry._pair_loop(arr, None), reference_pairs.pair_loop(arr, None))
+        assert_same_blocks(geometry._pair_loop(arr, w, block=10_000), reference_pairs.pair_loop(arr, w, block=10_000))
+        assert_same_blocks(geometry._pair_loop(arr[:40], w[:40], arr, w, block=5_000),
+                           reference_pairs.pair_loop(arr[:40], w[:40], arr, w, block=5_000))
+
+    def test_plain_form_subtracts_only_the_upper_triangle(self, monkeypatch):
+        # every subtraction in a block reads the rows j > i0 of its first row
+        arr = np.arange(60, dtype=np.int64).reshape(20, 3) ** 2
+        seen = []
+        real = np.ndarray.__sub__
+
+        class Rows(np.ndarray):
+            def __sub__(self, other):
+                seen.append(self.shape)
+                return real(np.asarray(self), np.asarray(other))
+
+        rows = arr.view(Rows)
+        blocks = list(geometry._pair_loop(rows, None, block=40))
+        assert sum(len(diffs) for diffs, _ in blocks) == 20 * 19 // 2
+        # rows per block = 40 // 20 = 2, so block i0 subtracts against the 19 - i0 rows after i0
+        assert [shape[1] for shape in seen] == [19 - i0 for i0 in range(0, 19, 2) for _ in range(3)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     random_rational_points,
 )
 from reference_split import reference_orientation, reference_split
+import reference_pairs
 from dirlab import (
     DepthExhausted,
     LatticeSpec,
@@ -833,3 +834,128 @@ class TestSlopeBandSweep:
         )
         with pytest.raises(DepthExhausted):
             slope_band_sweep(mu, 1.5, [1 / 8], max_depth=5)
+
+
+@st.composite
+def separation_cases(draw):
+    """Point sets for the separation search: d = 2..4, points on a grid of
+    half the radius n^(-1/s), and one pair exactly at the radius or one ulp
+    either side of it, all in a drawn order."""
+    d = draw(st.integers(2, 4))
+    s = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    n = draw(st.integers(2, 30))
+    radius = float(n) ** (-1.0 / s)
+    step = radius / 2
+    grid = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=n - 2, max_size=n - 2, unique=True))
+    pts = [tuple(k * step for k in cell) for cell in grid]
+    gap = draw(st.sampled_from([np.nextafter(radius, 0.0), radius, np.nextafter(radius, 2.0)]))
+    axis = draw(st.integers(0, d - 1))
+    corner = [k * step for k in draw(st.tuples(*[st.integers(-5, 5)] * d))]
+    corner[axis] = 0.0
+    far = list(corner)
+    far[axis] = float(gap)  # 0 + gap, so the pair's norm is exactly gap
+    pts += [tuple(corner), tuple(far)]
+    try:
+        return PointSet.from_points(draw(st.permutations(pts)), mode="float"), s
+    except PreconditionFailed:
+        assume(False)
+
+
+class TestSeparationAgainstReference:
+    """The slab search against the grid-hash search of reference_pairs.py."""
+
+    @given(separation_cases())
+    def test_float_sets_match(self, case):
+        P, s = case
+        assert measure._separation(P, s) == reference_pairs.separation(P, s)
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+                    min_size=1, max_size=40, unique=True),
+           st.sampled_from([0.5, 1, 1.5, 2, 3]))
+    def test_exact_sets_match(self, pts, s):
+        P = PointSet.from_points([tuple(Fraction(v, 12) for v in p) for p in pts])
+        assert measure._separation(P, s) == reference_pairs.separation(P, s)
+
+    @pytest.mark.parametrize("s", [CANTOR_S, 1.0, 2.0, 3.0])
+    def test_cantor_product_matches(self, s):
+        P = product_cantor(2, m=3, ratio=Fraction(1, 4), depth=4)
+        assert measure._separation(P, s) == reference_pairs.separation(P, s)
+
+    def test_late_pair_past_many_blocks(self):
+        # a 70 x 70 grid: every point's slab holds its column, so the slab
+        # pairs fill many blocks before the close pair appended last
+        pts = [(Fraction(a, 10), Fraction(b, 10)) for a in range(70) for b in range(70)]
+        pts += [(Fraction(701, 100), Fraction(3)), (Fraction(7), Fraction(3))]
+        P = PointSet.from_points(pts)
+        got = measure._separation(P, 2)
+        assert got == reference_pairs.separation(P, 2) and got[1][:2] == (4900, 4901)
+
+    def test_pair_exactly_at_the_radius_is_separated(self):
+        radius = 4.0 ** (-1 / 2)
+        for gap, separated in ((np.nextafter(radius, 0.0), False), (radius, True)):
+            P = PointSet.from_points([(5.0, 5.0), (0.0, 0.0), (-5.0, 5.0), (0.0, float(gap))])
+            _, hit = measure._separation(P, 2)
+            assert (hit is None) == separated
+            assert hit is None or hit == (1, 3, float(gap))
+
+    def test_radius_whose_square_underflows(self):
+        # radius 4^(-1/s) = 2^-700: squares of every gap near it underflow to
+        # zero, so a pair 2^-560 apart has norm 0 below the radius when its
+        # grid cells (past int64, cast to one value) count as neighbours
+        s = 2 / 700
+        pts = [(Fraction(1, 2**560), 0), (Fraction(2, 2**560), 0), (1, 1), (0, 0)]
+        P = PointSet.from_points(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the cells' int64 cast overflows
+            got, want = measure._separation(P, s), reference_pairs.separation(P, s)
+        assert got == want and got[1] == (0, 1, 0.0)
+        # 0 and 2^-560 have cells 0 and past int64: no neighbours, though their norm is 0
+        P = PointSet.from_points([(0, 0), (Fraction(1, 2**560), 0), (1, 1), (2, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = measure._separation(P, s), reference_pairs.separation(P, s)
+        assert got == want and got[1] is None
+
+
+class TestEnergyAgainstRowMajor:
+    """energy_integral on column blocks against the row-major loop of
+    reference_pairs.py, bit for bit, on both difference paths."""
+
+    @staticmethod
+    def same(got, want):
+        if isinstance(want, Fraction):
+            return type(got) is Fraction and got == want
+        return type(got) is float and got.hex() == want.hex()
+
+    @given(product_point_sets(), st.sampled_from([1, 1.5, 2, 3]))
+    def test_uniform_on_both_paths(self, ps, s):
+        def both(P):
+            mu = uniform_weights(P)
+            return energy_integral(mu, s), reference_pairs.energy_integral(mu, s)
+
+        for got, want in on_both_paths(both, ps):
+            assert self.same(got, want)
+
+    @given(product_point_sets(max_axis=5), st.integers(0, 2**16), st.sampled_from([1, 1.5, 2, 3]))
+    def test_weighted(self, ps, seed, s):
+        rng = random.Random(seed)
+        units = [rng.randint(1, 5) for _ in range(len(ps))]
+        for masses in ([Fraction(u, sum(units)) for u in units], [u / sum(units) for u in units]):
+            mu = WeightedPointSet(base=ps, masses=masses)
+            assert self.same(energy_integral(mu, s), reference_pairs.energy_integral(mu, s))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 15, 16, 17, 128, 129, 300])
+    def test_row_sums_keep_numpys_order(self, d):
+        rows = np.random.default_rng(d).standard_normal((2000, d)) * 10.0 ** (np.arange(d) % 7 - 3)
+        squares = rows * rows
+        got = measure._row_sums([col * col for col in np.asfortranarray(rows).T])
+        assert got.tobytes() == squares.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 17])
+    def test_float_sets_in_every_row_sum_order(self, d):
+        # rows of 8 or more squares take numpy's eight partial sums
+        rng = np.random.default_rng(d)
+        P = PointSet.from_points(rng.standard_normal((60, d)).tolist(), mode="float")
+        weights = rng.random(60)
+        for mu in (uniform_weights(P), WeightedPointSet(base=P, masses=(weights / weights.sum()).tolist())):
+            assert self.same(energy_integral(mu, 1.5), reference_pairs.energy_integral(mu, 1.5))
