@@ -247,6 +247,7 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
     pair with (j > i0 in the plain form) and masks the triangle inside that
     block.  Its differences fill a (d, m) buffer one coordinate at a time,
     and the block is that buffer's transpose: (m, d) with contiguous columns.
+    Every block is a fresh buffer, which the caller may overwrite.
     """
     cross = other is not None
     if not cross:

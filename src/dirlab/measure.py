@@ -131,10 +131,15 @@ def _separation(P: PointSet, s) -> tuple:
     screens: no rounding of its sums of squares, subnormal ones included,
     moves them by those margins.  So the answer is the one a search of
     all pairs would give.
+
+    A radius with max|x| / radius >= 2^62 is refused: the cells would leave
+    int64, and the float64 norms near such a radius underflow.
     """
     arr = P.as_array()
     n, d = arr.shape
     radius = float(n) ** (-1.0 / _exponent(s))
+    if max(float(arr.max()), -float(arr.min())) >= radius * 2.0**62:
+        raise PreconditionFailed(f"the separation radius {radius} is too small for points of this size")
     cell = np.floor(arr / radius).astype(np.int64)
     order = np.argsort(arr[:, 0], kind="stable")
     column = arr[order, 0]
@@ -535,23 +540,95 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray | None:
     return total * w
 
 
+def _edge_counts(a, x, edges, side):
+    """Per row, how many of the nondecreasing edges e have a*e <= x (side
+    "right") or a*e < x (side "left"), for a >= 0.
+
+    Since a*e is monotone in e, those edges are a prefix.  Its length k is
+    estimated from t = x / a as if the edges were evenly spaced, and stands
+    when the multiply-through test holds at the edges on either side of it,
+    which proves it by monotonicity.  The rows where it fails (slopes within
+    rounding of an edge) are counted by that test over every edge."""
+    counted = np.less_equal if side == "right" else np.less
+    g, spread = len(edges), edges[-1] - edges[0]
+    padded = np.concatenate([[-np.inf], edges, [np.inf]])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.divide(x, a)
+        u -= edges[0]
+        u *= (g - 1) / spread if spread > 0 else 1.0
+        if side == "right":
+            np.floor(u, out=u)
+            u += 1
+        else:
+            np.ceil(u, out=u)
+        k = np.fmin(np.fmax(u, 0, out=u), g, out=u).astype(np.int64)
+        del u
+        # padded[k] is edge k - 1 and padded[1:][k] edge k, infinite past the ends
+        bound = padded.take(k)
+        bound *= a
+        ok = counted(bound, x)
+        np.take(padded[1:], k, out=bound)
+        bound *= a
+        ok &= ~counted(bound, x)
+        del bound
+        bad, step = np.flatnonzero(~ok), max(1, _PAIR_BLOCK // g)
+        for r0 in range(0, len(bad), step):
+            rows = bad[r0 : r0 + step]
+            k[rows] = np.count_nonzero(counted(a[rows, None] * edges, x[rows, None]), axis=1)
+    return k
+
+
+def _add_boxes(total, flat, lengths, weights, g):
+    """Add each row's weight to the cells flat + sum_k o_k g^(m-1-k) of the
+    flat g^m grid total, over every offset 0 <= o_k < lengths[k] on each of
+    the m = len(lengths) axes: one bincount per offset, only positive
+    terms, rows dropped once their range on the leading axis runs out."""
+    if not lengths:
+        total += np.bincount(flat, weights=weights, minlength=len(total))
+        return
+    head, rest = lengths[0], lengths[1:]
+    stride = g ** len(rest)
+    for offset in range(g):
+        keep = head > offset
+        if not keep.all():
+            flat, head, weights, *rest = (v.compress(keep) for v in (flat, head, weights, *rest))
+        if not len(flat):
+            return
+        _add_boxes(total, flat + offset * stride if offset else flat, rest, weights, g)
+
+
 def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
-    """Direct scan over the cross pairs y - x of the shared pair loop, x in mu1
-    and y in mu2; the window test is symmetric under the swap, so the window
-    semantics are those of the product path."""
+    """Pair mass per window cell over the cross pairs y - x of the shared pair
+    loop, x in mu1 and y in mu2, by range accumulation; lo and hi are
+    nondecreasing.  The window test is symmetric under the swap, so the
+    window semantics are those of the product path.
+
+    Rows whose denominator a = diffs[:, -1] is negative are negated, in
+    place in the loop's fresh block: negation is exact, so the closed test
+    a*lo <= x <= a*hi keeps its bits.  The windows holding the slope x / a
+    on one axis are then a run first <= j < stop, first counting the windows
+    with a*hi_j < x and stop those with a*lo_j <= x (_edge_counts), and the
+    pair adds its mass to every cell of its box of runs.  Membership is that
+    of the multiply-through test against every window; only the summation
+    order differs.  Blocks hold half _PAIR_BLOCK pairs, which keeps their
+    index and bound temporaries below those of the test against every
+    window."""
     d = mu1.base.dimension
     g = len(lo)
-    total = np.zeros((g,) * (d - 1), dtype=np.float64)
-    spec = _EINSUM[d - 1]
+    total = np.zeros(g ** (d - 1), dtype=np.float64)
     for diffs, wp in _pair_loop(mu1.base.as_array(), mu1.mass_array(), mu2.base.as_array(),
-                                mu2.mass_array(), block=_PAIR_BLOCK // g):
-        lo_eff, hi_eff = _scaled_window(diffs[:, -1], lo, hi)
-        factors = [
-            (diffs[:, i][:, None] >= lo_eff) & (diffs[:, i][:, None] <= hi_eff)
-            for i in range(d - 1)
-        ]
-        total += np.einsum(spec, wp, *[f.astype(np.float64) for f in factors])
-    return total
+                                mu2.mass_array(), block=_PAIR_BLOCK // 2):
+        np.negative(diffs, out=diffs, where=diffs[:, -1:] < 0)
+        a = diffs[:, -1]
+        flat, lengths = None, []
+        for i in range(d - 1):
+            first = _edge_counts(a, diffs[:, i], hi, "left")
+            stop = _edge_counts(a, diffs[:, i], lo, "right")
+            stop -= first
+            flat = first if flat is None else flat * g + first
+            lengths.append(stop)
+        _add_boxes(total, flat, lengths, wp, g)
+    return total.reshape((g,) * (d - 1))
 
 
 def _window_mass(mu1, mu2, lo, hi) -> np.ndarray:

@@ -192,6 +192,14 @@ class TestMeasure:
         assert code == 1
         assert json.loads(out)["separated"] is False
 
+    def test_adaptable_refuses_a_radius_below_the_cell_range(self, tmp_path, capsys):
+        # s = 2/700 puts the radius of four points at 2^-700, so the grid
+        # cells of the separation check would leave int64
+        points = write_points(tmp_path, "tiny.txt", f"2 4 exact\n1/{2**560} 0\n1/{2**559} 0\n1 1\n0 0\n")
+        code, out, err = run_cli(capsys, "measure", "adaptable", points, "--s", repr(2 / 700), "--bound", "5")
+        assert code == 2
+        assert err.startswith("error:") and "too small" in err and out == ""
+
     def test_split_report(self, tmp_path, capsys):
         points = write_points(
             tmp_path,

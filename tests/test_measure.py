@@ -21,6 +21,7 @@ from conftest import (
 )
 from reference_split import reference_orientation, reference_split
 import reference_pairs
+import reference_window
 from dirlab import (
     DepthExhausted,
     LatticeSpec,
@@ -795,6 +796,130 @@ class TestWindowPaths:
             slope_chart_pair_mass(upper, weighted)
 
 
+@st.composite
+def window_cases(draw):
+    """Two measures and a window grid for the scan window.
+
+    d = 2..4; coordinates k/den with den a power of two, exact or float;
+    the last coordinates of the first set are odd multiples of q/den and
+    those of the second even multiples, so every denominator is nonzero
+    and either sign occurs, and q = 8 puts many slopes on window edges at
+    multiples of 1/8.  Masses are uniform or drawn units; windows have a
+    dyadic half-width eps and pitch, from pitch = eps to pitch = eps/32,
+    with the first center anywhere in [-3, 3], so slopes also miss every
+    window."""
+    d = draw(st.integers(2, 4))
+    den = draw(st.sampled_from((8, 16, 64)))
+    q = draw(st.sampled_from((1, 8)))
+    mode = draw(st.sampled_from(("exact", "float")))
+
+    def support(parity):
+        last = st.integers(-4, 4).map(lambda k: Fraction(q * (2 * k + parity), den))
+        row = st.tuples(*[st.integers(-den, den).map(lambda k: Fraction(k, den))] * (d - 1), last)
+        return PointSet.from_points(draw(st.lists(row, min_size=1, max_size=10, unique=True)), mode=mode)
+
+    def measure_on(P):
+        if draw(st.booleans()):
+            return uniform_weights(P)
+        units = draw(st.lists(st.integers(1, 7), min_size=len(P), max_size=len(P)))
+        return WeightedPointSet(base=P, masses=[u / sum(units) for u in units])
+
+    mu1, mu2 = measure_on(support(1)), measure_on(support(0))
+    eps = 2.0 ** -draw(st.integers(0, 4))
+    pitch = eps * 2.0 ** -draw(st.integers(0, 5))
+    g = draw(st.integers(1, {2: 40, 3: 16, 4: 8}[d]))
+    start = draw(st.integers(-24, 24)) / 8
+    centers = start + (np.arange(g) + 0.5) * pitch
+    return mu1, mu2, centers - eps, centers + eps
+
+
+class TestWindowAgainstReference:
+    """The range-accumulation window against the scan that tests every pair
+    against every window, kept in reference_window.py."""
+
+    @staticmethod
+    def check(mu1, mu2, lo, hi):
+        got, want = measure._window_mass_scan(mu1, mu2, lo, hi), reference_window.scan(mu1, mu2, lo, hi)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got[want == 0] == 0.0).all()
+        if all(mu.uniform and len(mu) & (len(mu) - 1) == 0 for mu in (mu1, mu2)):
+            assert got.tolist() == want.tolist()  # dyadic masses sum exactly in any order
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        return got
+
+    @given(window_cases())
+    def test_matches_reference(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("grid", ["dyadic", "decimal"])
+    def test_slopes_on_and_one_ulp_off_every_edge(self, d, grid):
+        # against one atom at the origin each pair difference is minus a row:
+        # slope coordinates a*e / a on window edges e, or one ulp either side,
+        # with denominators a of both signs.  Dyadic edges 1/8 apart keep
+        # every estimate exact; slope_density's grid at pitch 1/20 and
+        # decimal denominators round them onto either side of an edge.
+        if grid == "dyadic":
+            lo, hi, scales = np.arange(5) / 8, np.arange(5) / 8 + 0.25, (3.0, -5.0, 0.375, -1.25)
+        else:
+            centers = 0.5 + (np.arange(10) + 0.5) * (0.5 / 10)
+            lo, hi, scales = centers - 0.1, centers + 0.1, (0.3, -0.7, 1.1, -2.9)
+        edges = np.concatenate([lo, hi])
+        rows = []
+        for a0 in scales:
+            for k in range(len(edges)):
+                for shift in (-math.inf, 0.0, math.inf):
+                    a = a0 * (1 + len(rows) / 64)  # one denominator per row keeps the rows distinct
+                    xs = [a * edges[(k + 3 * j) % len(edges)] for j in range(d - 1)]
+                    rows.append(tuple(-float(np.nextafter(x, shift) if shift else x) for x in xs) + (-a,))
+        mu1 = uniform_weights(PointSet.from_points(rows, mode="float"))
+        mu2 = uniform_weights(PointSet.from_points([(0.0,) * d], mode="float"))
+        got = self.check(mu1, mu2, lo, hi)
+        assert got.sum() > 0
+
+    def test_ranges_across_many_windows(self):
+        # pitch = eps/64: every slope in the chart lies in about 128 windows
+        rng = np.random.default_rng(5)
+        upper = PointSet.from_points(rng.random((40, 3)) + [0, 0, 2], mode="float")
+        lower = PointSet.from_points(rng.random((30, 3)), mode="float")
+        weights = rng.random(30)
+        mu1, mu2 = uniform_weights(upper), WeightedPointSet(base=lower, masses=(weights / weights.sum()).tolist())
+        centers = -1 + (np.arange(160) + 0.5) / 64
+        got = self.check(mu1, mu2, centers - 1, centers + 1)
+        assert got.max() > 0
+
+    def test_slopes_outside_every_window_read_zero(self):
+        upper = uniform_weights(PointSet.from_points([(5, 1), (6, 2), (-7, 3)]))
+        lower = uniform_weights(PointSet.from_points([(0, 0), (1, -1)]))
+        centers = 0.5 + (np.arange(8) + 0.5) / 16
+        got = self.check(upper, lower, centers - 1 / 16, centers + 1 / 16)
+        assert got.tolist() == [0.0] * 8
+
+    def test_runs_without_the_window_expansion(self, monkeypatch):
+        # a non-product weighted pair: the scan must neither scale every
+        # window per pair nor call einsum
+        rng = np.random.default_rng(11)
+        upper = PointSet.from_points(rng.random((50, 3)) + [0, 0, 1.5], mode="float")
+        lower = PointSet.from_points(rng.random((60, 3)), mode="float")
+        weights = rng.random(60)
+        mu1, mu2 = uniform_weights(upper), WeightedPointSet(base=lower, masses=(weights / weights.sum()).tolist())
+        centers = 0.5 + (np.arange(16) + 0.5) / 32
+        want = reference_window.scan(mu1, mu2, centers - 1 / 16, centers + 1 / 16)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the window expanded every pair")
+
+        monkeypatch.setattr(measure, "_scaled_window", refuse)
+        monkeypatch.setattr(np, "einsum", refuse)
+        field = slope_density(mu1, mu2, eps=1 / 16, pitch=1 / 32)
+        np.testing.assert_allclose(field.values * (1 / 16) ** 2, want, rtol=1e-12, atol=0)
+        with pytest.raises(AssertionError, match="expanded"):
+            measure._window_mass_product(uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                                         uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                                         centers - 1 / 16, centers + 1 / 16)
+
+
 class TestSlopeBandSweep:
     def test_depth_four_cantor_report(self):
         report = slope_band_sweep(
@@ -899,22 +1024,27 @@ class TestSeparationAgainstReference:
             assert hit is None or hit == (1, 3, float(gap))
 
     def test_radius_whose_square_underflows(self):
-        # radius 4^(-1/s) = 2^-700: squares of every gap near it underflow to
-        # zero, so a pair 2^-560 apart has norm 0 below the radius when its
-        # grid cells (past int64, cast to one value) count as neighbours
+        # radius 4^(-1/s) = 2^-700: the grid cells floor(x / radius) of these
+        # points leave int64 and the squares of gaps near the radius
+        # underflow, so the search refuses the radius instead of answering
         s = 2 / 700
-        pts = [(Fraction(1, 2**560), 0), (Fraction(2, 2**560), 0), (1, 1), (0, 0)]
-        P = PointSet.from_points(pts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the cells' int64 cast overflows
-            got, want = measure._separation(P, s), reference_pairs.separation(P, s)
-        assert got == want and got[1] == (0, 1, 0.0)
-        # 0 and 2^-560 have cells 0 and past int64: no neighbours, though their norm is 0
-        P = PointSet.from_points([(0, 0), (Fraction(1, 2**560), 0), (1, 1), (2, 2)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got, want = measure._separation(P, s), reference_pairs.separation(P, s)
-        assert got == want and got[1] is None
+        for pts in ([(Fraction(1, 2**560), 0), (Fraction(2, 2**560), 0), (1, 1), (0, 0)],
+                    [(0, 0), (Fraction(1, 2**560), 0), (1, 1), (2, 2)]):
+            P = PointSet.from_points(pts)
+            with pytest.raises(PreconditionFailed, match="too small"):
+                measure._separation(P, s)
+            with pytest.raises(PreconditionFailed, match="too small"):
+                discrete_frostman(P, s)
+
+    def test_refusal_starts_at_two_to_the_62_cells(self):
+        # four points at s = 2: radius 1/2, so max|x| = 2^61 is the first refused size
+        for top, refused in ((float(np.nextafter(2.0**61, 0.0)), False), (2.0**61, True)):
+            P = PointSet.from_points([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (top, -top)], mode="float")
+            if refused:
+                with pytest.raises(PreconditionFailed, match="too small"):
+                    measure._separation(P, 2)
+            else:
+                assert measure._separation(P, 2) == reference_pairs.separation(P, 2) == (0.5, None)
 
 
 class TestEnergyAgainstRowMajor:
