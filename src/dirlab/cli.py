@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .directions import distinct_directions, pps_check, separated_subset
-from .directions import sphere_coverage
+from .directions import distinct_directions, pps_check, separated_subset, sphere_coverage_sweep
 from .errors import DirlabError
 from .experiments import default_config_path, run_all
 from .generators import IfsSystem, LatticeSpec, garnett_system, hyperplane_sample
@@ -141,17 +140,16 @@ def _cmd_directions_count(args):
 
 def _cmd_directions_coverage(args):
     P = read_point_set(args.points)
-    rows = []
-    for eps in args.eps:
-        grid = sphere_coverage(P, eps, antipodal=not args.signed)
-        rows.append(
-            {
-                "eps": eps,
-                "occupied": grid.occupied(),
-                "total_cells": grid.total_cells,
-                "fraction": grid.coverage_fraction(),
-            }
-        )
+    grids = sphere_coverage_sweep(P, args.eps, antipodal=not args.signed)
+    rows = [
+        {
+            "eps": eps,
+            "occupied": grid.occupied(),
+            "total_cells": grid.total_cells,
+            "fraction": grid.coverage_fraction(),
+        }
+        for eps, grid in zip(args.eps, grids)
+    ]
     _emit(args, "coverage", {"n_points": len(P), "grids": rows})
     return 0
 

@@ -25,6 +25,7 @@ from .geometry import (
     DIRECTION_RESOLUTION,
     DirectionKey,
     PointSet,
+    _float_rows,
     _group_sums,
     _pair_differences,
     _unique_rows,
@@ -112,22 +113,22 @@ def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
     return rows * sign[:, None]
 
 
-def _with_negations(rows: np.ndarray) -> np.ndarray:
-    """np.vstack([rows, -rows]), built as columns so they stay contiguous."""
-    return np.hstack([rows.T, -rows.T]).T
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms, squares summed left to right as DirectionKey.unit_vector() sums them."""
+    return np.sqrt(sum(col * col for col in rows.T))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows over their norms, squares summed left to right so each row
-    equals DirectionKey.unit_vector() bit for bit."""
-    return rows / np.sqrt(sum(col * col for col in rows.T))[:, None]
+    """Rows over their norms, each equal to DirectionKey.unit_vector() bit for bit."""
+    return rows / _row_norms(rows)[:, None]
 
 
 def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     """Census of canonical direction keys over all pairs of P.
 
     Signed mode (antipodal=False) counts ordered pairs, so both u and -u
-    appear; identified mode counts each unordered pair once.
+    appear; identified mode counts each unordered pair once.  Signed rows
+    are -R[::-1] then R, R the canonical rows (README, "the census").
     """
     n = len(P)
     if n < 2:
@@ -142,13 +143,16 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
                 q = diffs // np.gcd.reduce(diffs.T, axis=0)[:, None]  # column by column
             else:
                 q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
-            yield _flip_to_canonical(q) if antipodal else _with_negations(q)
+            yield _flip_to_canonical(q)
 
     if exact:
         bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
     else:
         bound, scale = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION
-    keys = DirectionKeys(_unique_rows(_key_chunks(), bound, P.dimension), scale, exact, antipodal)
+    rows = _unique_rows(_key_chunks(), bound, P.dimension)
+    if not antipodal:
+        rows = np.concatenate([-rows[::-1], rows])
+    keys = DirectionKeys(rows, scale, exact, antipodal)
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     return DirectionCensus(keys=keys, antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs)
 
@@ -278,7 +282,8 @@ def _chart_codes(face: np.ndarray, other: np.ndarray, pitch: float):
 def sphere_coverage_sweep(
     P: PointSet, eps_list, antipodal: bool = True
 ) -> list[CoverageGrid]:
-    """Coverage grids for several pitches in one pass over all pairs."""
+    """Coverage grids for several pitches in one pass over all pairs; signed
+    grids bin each canonical unit's chart and (face ^ 1, -other), that of -u."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise PreconditionFailed("need at least one cell pitch")
@@ -296,20 +301,20 @@ def sphere_coverage_sweep(
         for total in totals
     ]
 
-    for diffs, mult in _pair_differences(P.as_array()):
-        unit = _unit_rows(diffs)
-        if antipodal:
-            unit = _flip_to_canonical(unit)
-        else:
-            unit = _with_negations(unit)
-            mult = np.concatenate([mult, mult])
-        face, other = _face_decompose(unit)
+    for diffs, mult in _pair_differences(_float_rows(*P._scaled_rows())):
+        norms = _row_norms(diffs)
+        if not norms.all():
+            raise PreconditionFailed("two points lie too close in float64 for their direction to be charted")
+        diffs /= norms[:, None]  # a fresh block: now the units
+        face, other = _face_decompose(_flip_to_canonical(diffs))
+        charts = [(face, other)] if antipodal else [(face, other), (face ^ 1, -other)]
         for eps, acc in zip(eps_list, accums):
-            code, _ = _chart_codes(face, other, eps)
-            if isinstance(acc, Counter):
-                acc.update(_group_sums(code, mult))
-            else:
-                np.add.at(acc, code, mult)
+            for chart_face, chart_other in charts:
+                code, _ = _chart_codes(chart_face, chart_other, eps)
+                if isinstance(acc, Counter):
+                    acc.update(_group_sums(code, mult))
+                else:
+                    np.add.at(acc, code, mult)
 
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     grids = []
@@ -421,7 +426,7 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     if not isinstance(keys, DirectionKeys):
         keys = DirectionKeys(np.array(sorted(key.rep for key in keys), dtype=object), 1,
                              next(iter(keys)).exact, census.antipodal_identified)
-    units = _unit_rows(np.array(keys.rows * keys.scale, dtype=np.float64))
+    units = _unit_rows(_float_rows(keys.rows * keys.scale))
     d = units.shape[1]
     n_classes = 2 ** (d - 1)
     pitch = (d + 1) * delta

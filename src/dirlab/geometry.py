@@ -58,9 +58,33 @@ MAX_DENOMINATOR = 1 << 31
 MAX_NUMERATOR = 1 << 40
 
 
+# Float coordinates stay below this in magnitude, so squared differences and
+# their sums stay finite.
+FLOAT_LIMIT = 1 << 500
+
+
 def _fits(denom, lo, hi) -> bool:
     """Whether integer rows with entries in [lo, hi] over denom take the int64 form."""
     return denom <= MAX_DENOMINATOR and -MAX_NUMERATOR <= lo and hi <= MAX_NUMERATOR
+
+
+def _over_lcm(values: Sequence) -> tuple[np.ndarray, int]:
+    """Rationals (Fractions or ints) as integers over the lcm of their
+    denominators: int64 within the bounds of PointSet.scaled_integer(),
+    Python ints (object) past them."""
+    denom = math.lcm(*{v.denominator for v in values})
+    ints = [v.numerator * (denom // v.denominator) for v in values]
+    fits = _fits(denom, min(ints, default=0), max(ints, default=0))
+    return np.array(ints, dtype=np.int64 if fits else object), denom
+
+
+def _float_rows(rows: np.ndarray, denom=1) -> np.ndarray:
+    """rows / denom as float64, refused unless every entry is finite and
+    below FLOAT_LIMIT in magnitude; checked before any arithmetic that
+    could overflow."""
+    if not np.abs(rows).max() < FLOAT_LIMIT * denom:
+        raise PreconditionFailed("float64 coordinates must be finite and below 2^500 in magnitude")
+    return np.asarray(rows / denom, dtype=np.float64)
 
 
 @dataclass
@@ -106,10 +130,7 @@ class PointSet:
             raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
         if mode == "float":
             return cls._from_scaled(pts, 1.0)
-        # integers over the lcm of the denominators: int64 within the bounds, Python ints past them
-        denom = math.lcm(*{c.denominator for p in pts for c in p})
-        ints = [c.numerator * (denom // c.denominator) for p in pts for c in p]
-        flat = np.array(ints, dtype=np.int64 if _fits(denom, min(ints), max(ints)) else object)
+        flat, denom = _over_lcm([c for p in pts for c in p])
         ps = cls._from_scaled(flat.reshape(len(pts), dimension), denom)
         ps._points = pts
         return ps
@@ -118,10 +139,10 @@ class PointSet:
     def _from_scaled(cls, rows: np.ndarray, denom) -> "PointSet":
         """The point set rows / denom; the one place points are checked.
 
-        Float rows must be finite and distinct at DUPLICATE_RESOLUTION; they
-        are stored divided by denom, over 1.0.  Integer rows must be distinct:
-        int64 rows within the bounds of scaled_integer(), Python-int (object)
-        rows also past them.  Both are reduced by their common gcd with denom,
+        Float rows must be finite, below FLOAT_LIMIT in magnitude and distinct
+        at DUPLICATE_RESOLUTION; they are stored divided by denom, over 1.0.
+        Integer rows must be distinct: int64 rows within the bounds of
+        scaled_integer(), Python-int (object) rows also past them.  Both are reduced by their common gcd with denom,
         so the denominator is the lcm of the coordinate denominators, and are
         stored as int64 whenever the reduced rows fit.
         """
@@ -129,12 +150,8 @@ class PointSet:
             raise PreconditionFailed("need a nonempty array of points in dimension at least 2")
         mode = "float" if rows.dtype.kind == "f" else "exact"
         if mode == "float":
-            rows, denom = np.asarray(rows / denom, dtype=np.float64), 1.0
-            with np.errstate(over="ignore"):
-                keys = np.round(rows / DUPLICATE_RESOLUTION)
-            if not np.isfinite(keys).all():
-                raise PreconditionFailed("coordinates must be finite and below "
-                                         f"{DUPLICATE_RESOLUTION * np.finfo(np.float64).max:.3g} in magnitude")
+            rows, denom = _float_rows(rows, denom), 1.0
+            keys = np.round(rows / DUPLICATE_RESOLUTION)
             distinct = len(np.unique(keys, axis=0))
         else:
             if rows.dtype.kind not in "iuO" or denom < 1 or (

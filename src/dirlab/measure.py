@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _fits, _group_sums, _lowest_terms
+from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _group_sums, _lowest_terms, _over_lcm
 from .geometry import _pair_differences, _pair_loop, _product_axes, _sorted_unique
 
 
@@ -38,11 +38,7 @@ class WeightedPointSet:
     def __init__(self, base: PointSet, masses, thickening_radius: float | None = None):
         masses = tuple(masses)
         if all(isinstance(m, (int, Fraction)) for m in masses):
-            # integers over the lcm of the denominators, as in PointSet.from_points
-            denom = math.lcm(*{m.denominator for m in masses})
-            ints = [m.numerator * (denom // m.denominator) for m in masses]
-            fits = _fits(denom, min(ints, default=0), max(ints, default=0))
-            weights = np.array(ints, dtype=np.int64 if fits else object)
+            weights, denom = _over_lcm(masses)
         else:
             weights, denom = np.array([float(m) for m in masses], dtype=np.float64), 1.0
         vars(self).update(vars(self._from_weights(base, weights, denom, thickening_radius)), _masses=masses)
@@ -427,23 +423,29 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
 
 
 def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
-    """Max of cube mass / side^s over dyadic cubes down to side 2^(-depth)."""
+    """Max of cube mass / side^s over dyadic cubes down to side 2^(-depth).
+
+    Atom x lies in cube clip(floor(x * 2^j), 0, 2^j - 1) at level j, found
+    on the stored rows by the split's descent in base 2, exact for floats
+    too; cubes are renumbered per level, so no index overflows (README).
+    """
     if depth < 1:
         raise PreconditionFailed("depth must be at least 1")
     s = _exponent(s)
-    arr = mu.base.as_array()
+    rows, denom = mu.base._scaled_rows()
+    rel = np.clip(rows, 0, denom)
     w = mu.mass_array()
-    d = arr.shape[1]
     worst = float(mu.total_mass())  # level 0: the unit cube itself
+    dtype = np.int64 if len(rows) << rows.shape[1] < 1 << 62 else object
+    cube = np.zeros(len(rows), dtype=np.int64)
     for j in range(1, depth + 1):
-        m = 1 << j
-        idx = np.clip((arr * m).astype(np.int64), 0, m - 1)
-        code = idx[:, 0]
-        for k in range(1, d):
-            code = code * m + idx[:, k]
-        _, inverse = np.unique(code, return_inverse=True)
-        sums = np.bincount(inverse, weights=w)
-        worst = max(worst, float(sums.max()) * float(m) ** s)
+        bits = np.minimum(2 * rel // denom, 1)
+        rel = 2 * rel - bits * denom
+        code = cube.astype(dtype)
+        for col in bits.T.astype(np.int64):
+            code = code * 2 + col
+        _, cube = np.unique(code, return_inverse=True)
+        worst = max(worst, float(np.bincount(cube, weights=w).max()) * (2.0**j) ** s)
     return worst
 
 

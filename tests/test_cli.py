@@ -133,6 +133,33 @@ class TestDirections:
         for row in payload["grids"]:
             assert 0 < row["fraction"] <= 1
 
+    def test_coverage_sweeps_the_pairs_once(self, tmp_path, capsys, monkeypatch):
+        from dirlab import LatticeSpec, directions, geometry, lattice_set, sphere_coverage, write_point_set
+
+        P = lattice_set(LatticeSpec(q=4, d=3))
+        points = str(tmp_path / "lattice.txt")
+        write_point_set(P, points)
+        want = [
+            {"eps": eps, "occupied": grid.occupied(), "total_cells": grid.total_cells,
+             "fraction": grid.coverage_fraction()}
+            for eps in (0.3, 0.1, 0.05) for grid in [sphere_coverage(P, eps, antipodal=False)]
+        ]
+        passes = []
+
+        def pair_differences(arr, weights=None):
+            passes.append(len(arr))
+            return geometry._pair_differences(arr, weights)
+
+        monkeypatch.setattr(directions, "_pair_differences", pair_differences)
+        code, out, _ = run_cli(capsys, "directions", "coverage", points, "--eps", "0.3", "0.1", "0.05", "--signed")
+        assert code == 0 and len(passes) == 1
+        assert json.loads(out)["grids"] == want
+
+    def test_coverage_of_huge_exact_coordinates_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "huge.txt", f"2 3 exact\n{10**200} 0\n0 1\n1 0\n")
+        code, out, err = run_cli(capsys, "directions", "coverage", points, "--eps", "0.1")
+        assert code == 2 and out == "" and "2^500" in err
+
     def test_pps_exit_codes(self, tmp_path, capsys):
         good = write_points(
             tmp_path,

@@ -888,3 +888,124 @@ class TestFaceDecomposeAgainstReference:
         face, other = _face_decompose(units)
         ref_face, ref_other = reference_pairs.face_decompose(units)
         assert face.tolist() == ref_face.tolist() and other.tobytes() == ref_other.tobytes()
+
+
+def signed_rows(census):
+    """The key rows of a signed census as tuples of their reps, in order."""
+    return [tuple(r) for r in (census.keys.rows * census.keys.scale).tolist()]
+
+
+def strictly_increasing(rows):
+    return all(a < b for a, b in zip(rows, rows[1:]))
+
+
+class TestSignedCensusAgainstReference:
+    """The signed census is the identified rows R negated and reversed, then R."""
+
+    @pytest.mark.parametrize("branch", ROW_BOUNDS)
+    @given(data=st.data())
+    def test_negations_sort_before_canonical_rows(self, branch, data):
+        rows, chunks, bound, d = data.draw(row_chunks(branch))
+        canon = [_flip_to_canonical(chunk) for chunk in chunks]
+        canon = [chunk[np.any(chunk != 0, axis=1)] for chunk in canon]
+        assume(sum(map(len, canon)))
+        R = _unique_rows(canon, bound, d)
+        signed = np.concatenate([-R[::-1], R])
+        got = [tuple(r) for r in signed.tolist()]
+        want = {tuple(r) for r in rows if any(r)} | {tuple(-v for v in r) for r in rows if any(r)}
+        assert strictly_increasing(got) and got == sorted(want)
+
+    @given(census_sets())
+    def test_rows_equal_reference_on_both_paths(self, ps):
+        want = sorted(key.rep for key in reference_census.distinct_directions(ps, False).keys)
+        identified = distinct_directions(ps, True).keys.rows
+        for census in on_both_paths(lambda P: distinct_directions(P, False), ps):
+            assert census.keys.rows.dtype == identified.dtype
+            assert census.keys.rows.tolist() == np.concatenate([-identified[::-1], identified]).tolist()
+            got = signed_rows(census)
+            assert strictly_increasing(got) and got == want
+            assert census.n_pairs == len(ps) * (len(ps) - 1)
+
+    @pytest.mark.parametrize("kind", ["int64", "object", "float"])
+    def test_rows_equal_reference_off_product(self, kind):
+        rng = random.Random(32)
+        if kind == "float":
+            pts = [tuple(rng.random() for _ in range(3)) for _ in range(30)]
+        else:
+            pts = random_rational_points(rng, 30, 3, denom=97 if kind == "int64" else (1 << 61) - 1)
+        ps = PointSet.from_points(pts)
+        got = signed_rows(distinct_directions(ps, False))
+        want = sorted(key.rep for key in reference_census.distinct_directions(ps, False).keys)
+        assert strictly_increasing(got) and got == want
+
+
+class TestSignedByNegation:
+    """Signed runs reduce each pair once, in canonical orientation."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "exact", "float"])
+    def test_census_dedups_canonical_rows_in_one_pass(self, kind, monkeypatch):
+        rng = random.Random(41)
+        ps = {"lattice": lambda: lattice_set(LatticeSpec(q=4, d=3)),
+              "exact": lambda: PointSet.from_points(random_rational_points(rng, 40, 3, denom=13)),
+              "float": lambda: PointSet.from_points([tuple(rng.random() for _ in range(3)) for _ in range(40)])}[kind]()
+        seen = []
+
+        def recording(chunks, bound, d):
+            chunks = list(chunks)
+            seen.append(chunks)
+            return _unique_rows(chunks, bound, d)
+
+        monkeypatch.setattr(directions, "_unique_rows", recording)
+        signed = distinct_directions(ps, False)
+        assert len(seen) == 1 and sum(map(len, seen[0])) > 0
+        for chunk in seen[0]:
+            assert _flip_to_canonical(chunk).tolist() == chunk.tolist()
+        assert signed.count == 2 * distinct_directions(ps, True).count
+
+    @pytest.mark.parametrize("antipodal", [True, False])
+    def test_coverage_decomposes_each_block_once(self, antipodal, monkeypatch):
+        # 800 points make 319,600 pairs: several blocks of the pair loop
+        rng = np.random.default_rng(8)
+        ps = PointSet.from_points(rng.random((800, 3)).tolist())
+        blocks, decomposed = [], []
+
+        def pair_differences(arr, weights=None):
+            for diffs, mult in geometry._pair_differences(arr, weights):
+                blocks.append(len(diffs))
+                yield diffs, mult
+
+        def face_decompose(unit):
+            decomposed.append(len(unit))
+            return _face_decompose(unit)
+
+        monkeypatch.setattr(directions, "_pair_differences", pair_differences)
+        monkeypatch.setattr(directions, "_face_decompose", face_decompose)
+        (grid,) = sphere_coverage_sweep(ps, [0.05], antipodal)
+        assert len(blocks) > 1 and decomposed == blocks
+        assert sum(grid.cells.values()) == grid.n_pairs == sum(blocks) * (1 if antipodal else 2)
+
+
+class TestFloatChartRefusals:
+    """Exact sets chart their float64 view; a norm of 0 or inf is refused."""
+
+    HUGE = [(Fraction(10**200), 0), (0, 1), (1, 0)]
+    TINY = [(0, 0), (Fraction(1, 10**300), 0), (1, 1)]
+
+    @pytest.mark.parametrize("pts", [HUGE, TINY], ids=["huge", "tiny"])
+    @pytest.mark.parametrize("antipodal", [True, False])
+    def test_coverage_refuses(self, pts, antipodal):
+        ps = PointSet.from_points(pts)
+        with pytest.raises(PreconditionFailed):
+            sphere_coverage(ps, 0.1, antipodal)
+
+    @pytest.mark.parametrize("pts", [HUGE, TINY, [(0, 0), (1, Fraction(1, 10**300)), (2, 0)]],
+                             ids=["huge", "tiny", "tiny-slope"])
+    def test_subset_refuses_keys_past_the_float_limit(self, pts):
+        census = distinct_directions(PointSet.from_points(pts), True)
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            separated_subset(census, 0.1)
+
+    def test_large_coordinates_with_small_keys_still_separate(self):
+        ps = PointSet.from_points([(Fraction(10**200), 0), (Fraction(10**200), 10**200), (0, 0)])
+        census = distinct_directions(ps, True)
+        assert sorted(key.rep for key in separated_subset(census, 0.1).keys) == [(0, 1), (1, 0), (1, 1)]

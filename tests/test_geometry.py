@@ -21,8 +21,12 @@ from dirlab import (
     VerticalPair,
     canonical_direction,
     collinearity_rank,
+    distinct_directions,
+    energy_integral,
     read_point_set,
     slope_of_pair,
+    sphere_coverage,
+    uniform_weights,
     write_point_set,
 )
 from dirlab import geometry
@@ -287,9 +291,20 @@ class TestPointSet:
          ("abc", "exact"), ("abc", "float")],
     )
     def test_bad_coordinates_rejected(self, bad, mode):
-        # 1e300 / DUPLICATE_RESOLUTION overflows the float duplicate snap
+        # 1e300 lies past the float limit 2^500, where squared differences overflow
         with pytest.raises(PreconditionFailed, match="finite"):
             PointSet.from_points([(bad, 0.0), (2.0, 0.0)], mode=mode)
+
+    def test_float_coordinates_from_2_to_the_500_rejected(self):
+        # squared differences of 1e200 overflowed: one census key, coverage {0: 3}, energy 0.0
+        with pytest.raises(PreconditionFailed, match="finite"):
+            PointSet.from_points([(1e200, 0.0), (-1e200, 1.0), (0.0, 1e200)], mode="float")
+        with pytest.raises(PreconditionFailed, match="finite"):
+            PointSet.from_points([(2.0**500, 0.0), (0.0, 1.0)])
+        ps = PointSet.from_points([(2.0**499, 0.0), (-(2.0**499), 1.0), (0.0, 2.0**499)])
+        assert distinct_directions(ps, False).count == 6
+        assert sphere_coverage(ps, 0.5, False).occupied() == 6
+        assert 0 < energy_integral(uniform_weights(ps), 1) < math.inf
 
     def test_huge_denominators_build_without_hashing_fractions(self, monkeypatch):
         """A Fraction whose denominator is divisible by 2^61-1, the hash

@@ -648,6 +648,73 @@ class TestFrostmanConstant:
         assert frostman_constant(mu, 2, 3) <= 4.0
 
 
+def oracle_frostman(mu, s, depth):
+    """frostman_constant with Fraction coordinates: the cube of x at level j
+    is clip(floor(x * 2^j), 0, 2^j - 1), masses summed as Fractions."""
+    masses = [Fraction(m) for m in mu.masses]
+    worst = float(sum(masses))
+    for j in range(1, depth + 1):
+        m = 1 << j
+        cubes = {}
+        for p, mass in zip(mu.base.points, masses):
+            cube = tuple(min(m - 1, max(0, math.floor(Fraction(c) * m))) for c in p)
+            cubes[cube] = cubes.get(cube, 0) + mass
+        worst = max(worst, float(max(cubes.values())) * float(m) ** s)
+    return worst
+
+
+@st.composite
+def dyadic_measures(draw):
+    """Measures with masses k/64, so float sums are exact, on points at the
+    dyadic cuts k/8, some outside the unit cube; exact points also get
+    twins within 2^-80 of a cut, which float64 rounds onto it."""
+    exact = draw(st.booleans())
+    d = draw(st.integers(2, 3))
+    coord = st.integers(-2, 10).map(lambda k: Fraction(k, 8))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8, unique=True))
+    if exact:
+        shifts = st.tuples(*[st.sampled_from([-1, 0, 1])] * d)
+        twins = [tuple(c + e * Fraction(1, 1 << 80) for c, e in zip(p, draw(shifts))) for p in pts]
+        pts = list(dict.fromkeys(pts + twins))
+    else:
+        pts = [tuple(float(c) for c in p) for p in pts]
+    cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=len(pts) - 1, max_size=len(pts) - 1)))
+    masses = [Fraction(b - a, 64) for a, b in zip([0] + cuts, cuts + [64])]
+    base = PointSet.from_points(pts, mode="exact" if exact else "float")
+    return WeightedPointSet(base, masses if exact else [float(m) for m in masses])
+
+
+class TestFrostmanAgainstReference:
+    """Dyadic cubes read on the stored rows, checked against Fractions."""
+
+    @given(dyadic_measures(), st.sampled_from([0.5, 1, 2.5]), st.integers(1, 6))
+    def test_matches_fraction_oracle(self, mu, s, depth):
+        assert frostman_constant(mu, s, depth) == oracle_frostman(mu, s, depth)
+
+    def test_point_just_below_a_cut(self):
+        # float64 rounds 1/2 - 2^-80 up to the cut 1/2
+        pts = [(Fraction(1, 2) - Fraction(1, 1 << 80), Fraction(1, 8)), (Fraction(1, 8), Fraction(1, 8)),
+               (Fraction(1, 4), Fraction(1, 8)), (Fraction(7, 8), Fraction(7, 8))]
+        mu = WeightedPointSet(PointSet.from_points(pts), [Fraction(1, 4)] * 4)
+        assert frostman_constant(mu, 1, 1) == 1.5
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int64", "python-int"])
+    def test_deep_levels_do_not_overflow(self, wide):
+        # at depth 90 floor(x * 2^j) is past int64; Python-int rows past 2^40
+        den = (1 << 61) - 1 if wide else 1 << 29
+        pts = [(Fraction(1, 3), Fraction(k, den)) for k in (1, 2, 5)] + [(Fraction(1, 2), Fraction(1, 2))]
+        mu = uniform_weights(PointSet.from_points(pts))
+        assert (mu.base.scaled_integer() is None) == wide
+        assert frostman_constant(mu, 1, 90) == oracle_frostman(mu, 1, 90)
+
+    def test_cube_numbers_past_int64(self):
+        # eight atoms in d = 62, in eight level-1 cubes: a cube number 4..7
+        # with 62 bits appended passes int64, and wrapped would merge cubes
+        pts = [tuple(Fraction((i >> k) & 1, 2) for k in range(3)) + (0,) * 59 for i in range(8)]
+        mu = uniform_weights(PointSet.from_points(pts))
+        assert frostman_constant(mu, 3, 2) == oracle_frostman(mu, 3, 2) == 8.0
+
+
 class TestSlopeDensity:
     def boundary_pair(self):
         m1 = single_atom(Fraction(3, 4), 1)
