@@ -2,8 +2,9 @@
 
 Censuses are exact (keys from canonical_direction semantics); coverage
 grids quantize the sphere through a cube-face chart at a caller-chosen
-cell pitch.  Heavy paths run chunked through numpy; results are identical
-to the scalar definitions because keys are integers before deduplication.
+cell pitch.  Heavy paths run chunked through numpy, each block in the
+worker that fills it (geometry._block_map); results are identical to the
+scalar definitions because keys are integers before deduplication.
 
 Both read pair differences from geometry._pair_differences: each distinct
 difference once with its pair count on a Cartesian-product support with
@@ -13,6 +14,7 @@ and hit counts are identical on both paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Set
@@ -25,6 +27,7 @@ from .geometry import (
     DIRECTION_RESOLUTION,
     DirectionKey,
     PointSet,
+    _block_map,
     _float_rows,
     _group_sums,
     _pair_differences,
@@ -136,20 +139,20 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     exact = P.mode == "exact"
     arr, _ = P._scaled_rows()
 
-    def _key_chunks():
+    def canonical(block):
         # primitive integer vectors for exact sets, quantized unit vectors for floats
-        for diffs, _ in _pair_differences(arr):
-            if exact:
-                q = diffs // np.gcd.reduce(diffs.T, axis=0)[:, None]  # column by column
-            else:
-                q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
-            yield _flip_to_canonical(q)
+        diffs, _ = block
+        if exact:
+            q = diffs // functools.reduce(np.gcd, diffs.T)[:, None]  # column by column
+        else:
+            q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
+        return _flip_to_canonical(q)
 
     if exact:
         bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
     else:
         bound, scale = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION
-    rows = _unique_rows(_key_chunks(), bound, P.dimension)
+    rows = _unique_rows(_block_map(canonical, _pair_differences(arr)), bound, P.dimension)
     if not antipodal:
         rows = np.concatenate([-rows[::-1], rows])
     keys = DirectionKeys(rows, scale, exact, antipodal)
@@ -301,20 +304,28 @@ def sphere_coverage_sweep(
         for total in totals
     ]
 
-    for diffs, mult in _pair_differences(_float_rows(*P._scaled_rows())):
+    def chart(block):
+        # per pitch and chart: cell codes for a dense accumulator, else summed hits
+        diffs, mult = block
         norms = _row_norms(diffs)
         if not norms.all():
             raise PreconditionFailed("two points lie too close in float64 for their direction to be charted")
         diffs /= norms[:, None]  # a fresh block: now the units
         face, other = _face_decompose(_flip_to_canonical(diffs))
         charts = [(face, other)] if antipodal else [(face, other), (face ^ 1, -other)]
+        hits = []
         for eps, acc in zip(eps_list, accums):
             for chart_face, chart_other in charts:
                 code, _ = _chart_codes(chart_face, chart_other, eps)
-                if isinstance(acc, Counter):
-                    acc.update(_group_sums(code, mult))
-                else:
-                    np.add.at(acc, code, mult)
+                hits.append((acc, _group_sums(code, mult) if isinstance(acc, Counter) else code))
+        return mult, hits
+
+    for mult, hits in _block_map(chart, _pair_differences(_float_rows(*P._scaled_rows()))):
+        for acc, hit in hits:
+            if isinstance(acc, Counter):
+                acc.update(hit)
+            else:
+                np.add.at(acc, hit, mult)
 
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     grids = []

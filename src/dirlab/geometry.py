@@ -9,6 +9,8 @@ quantized direction keys so that nearly parallel pairs collide predictably.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -230,8 +232,123 @@ def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
     return rows.astype(np.int64 if _fits(denom, rows.min(), rows.max()) else object, copy=False), denom
 
 
-# Target row count for one block of pair differences.
-_PAIR_BLOCK = 300_000
+# Target pair count for one block of pair differences.
+_PAIR_BLOCK = 75_000
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Blocks claimed by a worker and not yet yielded, at most; so the blocks in
+# flight never hold more than _IN_FLIGHT * _PAIR_BLOCK = 300,000 pairs.
+_IN_FLIGHT = 4
+# Threads that fill pair blocks: one per CPU, at most _IN_FLIGHT.
+_WORKERS = min(_cpu_count(), _IN_FLIGHT)
+
+
+class _Blocks:
+    """A fixed partition of pair work: block t is fill(specs[t]), and the
+    blocks hold ``pairs`` pairs in all.
+
+    Iterating yields the blocks in order.  Past _PAIR_BLOCK pairs, with more
+    than one worker, _WORKERS threads fill them, the caller among them
+    (_ordered_map); otherwise the caller fills them one by one and no thread
+    starts.  The partition never depends on the worker count, so neither do
+    the blocks.
+    """
+
+    def __init__(self, fill, specs, pairs: int):
+        self.fill, self.specs, self.pairs = fill, specs, pairs
+
+    def __iter__(self):
+        workers = min(_WORKERS, len(self.specs))
+        if workers > 1 and self.pairs > _PAIR_BLOCK:
+            return _ordered_map(self.fill, self.specs, workers)
+        return map(self.fill, self.specs)
+
+
+def _block_map(fn, blocks):
+    """fn over each block, in block order: for _Blocks, the same partition
+    with fn run by the worker that fills each block; inline for any other
+    iterable of blocks."""
+    if not isinstance(blocks, _Blocks):
+        return map(fn, blocks)
+    fill = blocks.fill
+    return _Blocks(lambda spec: fn(fill(spec)), blocks.specs, blocks.pairs)
+
+
+def _ordered_map(fill, specs, workers: int):
+    """fill(spec) for each spec, yielded in order, on the caller and
+    workers - 1 helper threads.
+
+    Each thread claims the next unclaimed spec and fills it itself; a spec
+    is claimed only while fewer than _IN_FLIGHT blocks are claimed and not
+    yet yielded, so at most _IN_FLIGHT blocks are in flight.  An exception from
+    fill reaches the caller, unchanged, when its block's turn comes; the
+    helpers finish the blocks they hold and stop before it propagates.
+    """
+    cond = threading.Condition()
+    done = {}  # position -> (raised, value)
+    claimed = yielded = 0
+    closed = False
+
+    def claim():
+        # the next position to fill, or None; called with cond held
+        nonlocal claimed
+        if closed or claimed == len(specs) or claimed - yielded >= _IN_FLIGHT:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def run(pos):
+        try:
+            result = (False, fill(specs[pos]))
+        except BaseException as exc:  # re-raised by the caller in block order
+            result = (True, exc)
+        with cond:
+            done[pos] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while (pos := claim()) is None:
+                    if closed or claimed == len(specs):
+                        return
+                    cond.wait()
+            run(pos)
+
+    threads = [threading.Thread(target=helper, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for want in range(len(specs)):
+            while True:
+                with cond:
+                    if want in done:
+                        raised, value = done.pop(want)
+                        yielded += 1
+                        cond.notify_all()
+                        break
+                    pos = claim()
+                    if pos is None:
+                        cond.wait()
+                        continue
+                run(pos)
+            if raised:
+                raise value
+            yield value
+    finally:
+        with cond:
+            closed = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def _product_axes(arr: np.ndarray) -> list | None:
@@ -254,11 +371,12 @@ def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
 
 
 def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | None = None,
-               other_weights: np.ndarray | None = None, block: int = _PAIR_BLOCK):
-    """Blocks of about block pairs (y_j - x_i, multiplicity), x_i a row of arr,
-    in (i, j) order: the cross form takes every row y_j of other, the plain
-    form the rows x_j of arr with i < j.  Multiplicity is 1 (int64) without
-    weights, else weights[i] * other_weights[j] (weights[j] in the plain form).
+               other_weights: np.ndarray | None = None, block: int | None = None) -> _Blocks:
+    """Blocks of about block (default _PAIR_BLOCK) pairs (y_j - x_i,
+    multiplicity), x_i a row of arr, in (i, j) order: the cross form takes
+    every row y_j of other, the plain form the rows x_j of arr with i < j.
+    Multiplicity is 1 (int64) without weights, else weights[i] *
+    other_weights[j] (weights[j] in the plain form).
 
     Each block of rows i0 <= i < i1 subtracts only against the rows j it can
     pair with (j > i0 in the plain form) and masks the triangle inside that
@@ -270,9 +388,10 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
     if not cross:
         other, other_weights = arr, weights
     n, d = other.shape
-    rows = max(1, block // max(1, n))
+    rows = max(1, (block or _PAIR_BLOCK) // max(1, n))
     stop = len(arr) if cross else n - 1
-    for i0 in range(0, stop, rows):
+
+    def fill(i0):
         i1 = min(i0 + rows, stop)
         j0 = 0 if cross else i0 + 1
         pick = ... if cross else np.arange(j0, n)[None, :] > np.arange(i0, i1)[:, None]
@@ -283,32 +402,39 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
             buf[k] = diff[pick].ravel()
             del diff  # one coordinate's block is live at a time
         if weights is None:
-            yield buf.T, np.ones(m, dtype=np.int64)
-        else:
-            yield buf.T, (weights[i0:i1, None] * other_weights[None, j0:])[pick].ravel()
+            return buf.T, np.ones(m, dtype=np.int64)
+        return buf.T, (weights[i0:i1, None] * other_weights[None, j0:])[pick].ravel()
+
+    return _Blocks(fill, range(0, stop, rows), len(arr) * n if cross else n * (n - 1) // 2)
 
 
-def _product_differences(hists: list):
+def _product_differences(hists: list) -> _Blocks:
     """Distinct differences with first nonzero entry positive, of a product
     set, in blocks with contiguous columns like _pair_loop's."""
     d = len(hists)
+    axis_factors, specs = [], []
     for k in range(d):
         # zero on the axes before k, positive on axis k, anything after
         v, c = hists[k]
         factors = [(w[w == 0], m[w == 0]) for w, m in hists[:k]]
         factors += [(v[v > 0], c[v > 0])] + hists[k + 1 :]
+        axis_factors.append(factors)
         total = math.prod(len(v) for v, _ in factors)
-        for t0 in range(0, total, _PAIR_BLOCK):
-            rem = np.arange(t0, min(t0 + _PAIR_BLOCK, total))
-            buf = np.empty((d, len(rem)), dtype=hists[0][0].dtype)
-            mult = np.ones(len(rem), dtype=np.int64)
-            for j in range(d - 1, -1, -1):
-                v, c = factors[j]
-                rem, idx = np.divmod(rem, len(v))
-                buf[j] = v[idx]
-                mult *= c[idx]
-            del rem, idx
-            yield buf.T, mult
+        specs += [(k, t0, min(t0 + _PAIR_BLOCK, total)) for t0 in range(0, total, _PAIR_BLOCK)]
+
+    def fill(spec):
+        k, t0, t1 = spec
+        rem = np.arange(t0, t1)
+        buf = np.empty((d, len(rem)), dtype=hists[0][0].dtype)
+        mult = np.ones(len(rem), dtype=np.int64)
+        for j in range(d - 1, -1, -1):
+            v, c = axis_factors[k][j]
+            rem, idx = np.divmod(rem, len(v))
+            buf[j] = v[idx]
+            mult *= c[idx]
+        return buf.T, mult
+
+    return _Blocks(fill, specs, sum(t1 - t0 for _, t0, t1 in specs))
 
 
 def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
@@ -367,11 +493,12 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
     Each row packs into words of consecutive entries as signed digits in
     base 2*bound+1, so words compare as the entries they hold: one word for
     Python-int (object) rows, whose words are Python ints, and for int64
-    rows as few words as keep each within int64.  Each chunk, then their
-    union, is deduplicated on its words, which unpack to the rows."""
+    rows as few words as keep each within int64.  Each chunk is packed and
+    deduplicated on its words (by the worker that fills it, for _Blocks),
+    then their union is, in chunk order, and the words unpack to the rows."""
     base = 2 * bound + 1
-    parts = []
-    for rows in chunk_rows:
+
+    def pack(rows):
         width = d
         while rows.dtype != object and width > 1 and base**width > 1 << 62:
             width -= 1
@@ -382,8 +509,11 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
             for j in range(lo + 1, hi):
                 word = word * base + rows[:, j]
             words.append(word)
-        parts.append(_distinct_words(words))
-    words = _distinct_words([np.concatenate(column) for column in zip(*parts)])
+        return spans, _distinct_words(words)
+
+    parts = list(_block_map(pack, chunk_rows))
+    spans = parts[-1][0]
+    words = _distinct_words([np.concatenate(column) for column in zip(*(words for _, words in parts))])
     out = np.empty((len(words[0]), d), dtype=words[0].dtype)
     for (lo, hi), rem in zip(spans, words):
         for j in range(hi - 1, lo, -1):

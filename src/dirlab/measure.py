@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import _PAIR_BLOCK, PointSet, _cross_diff_histogram, _group_sums, _lowest_terms, _over_lcm
-from .geometry import _pair_differences, _pair_loop, _product_axes, _sorted_unique
+from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _float_rows, _group_sums
+from .geometry import _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes, _sorted_unique
 
 
 class WeightedPointSet:
@@ -119,8 +119,7 @@ def _separation(P: PointSet, s) -> tuple:
 
     Points sorted on their first coordinate give each point its slab, the
     points within h = max(radius, 2^-500) (1 + 1e-9) of it there.  Slab
-    pairs are screened in order of i, in blocks of a quarter _PAIR_BLOCK
-    (each pair holds several index and coordinate temporaries), on their
+    pairs are screened in order of i, in blocks of _PAIR_BLOCK, on their
     squared distance at radius^2 (1 + 1e-9) plus 2^-1072 per coordinate.
     Only the pairs that pass are re-decided, in (i, j) order, by the cells
     and the norm.  A pair whose norm is below the radius passes both
@@ -128,10 +127,12 @@ def _separation(P: PointSet, s) -> tuple:
     moves them by those margins.  So the answer is the one a search of
     all pairs would give.
 
-    A radius with max|x| / radius >= 2^62 is refused: the cells would leave
-    int64, and the float64 norms near such a radius underflow.
+    Points are read as float64 rows (geometry._float_rows, which refuses
+    coordinates at or past 2^500), and a radius with max|x| / radius >= 2^62
+    is refused: the cells would leave int64, and the float64 norms near such
+    a radius underflow.
     """
-    arr = P.as_array()
+    arr = _float_rows(*P._scaled_rows())
     n, d = arr.shape
     radius = float(n) ** (-1.0 / _exponent(s))
     if max(float(arr.max()), -float(arr.min())) >= radius * 2.0**62:
@@ -148,7 +149,7 @@ def _separation(P: PointSet, s) -> tuple:
     i0 = 0
     while i0 < n:
         p0 = ends[i0] - counts[i0]
-        i1 = max(i0 + 1, int(np.searchsorted(ends, p0 + _PAIR_BLOCK // 4, "right")))
+        i1 = max(i0 + 1, int(np.searchsorted(ends, p0 + _PAIR_BLOCK, "right")))
         i = np.repeat(np.arange(i0, i1), counts[i0:i1])
         j = order[np.arange(p0, ends[i1 - 1]) + np.repeat(shift[i0:i1], counts[i0:i1])]
         keep = j < i
@@ -203,31 +204,43 @@ def energy_integral(mu: WeightedPointSet, s):
 
     One pass over the pair differences of the stored rows (integers over D for
     exact bases).  Exact rational arithmetic when the base and the masses are
-    exact and s is a positive even integer; float64 otherwise, from the squared
-    distances divided by D^2, with a fixed summation order so results are
-    reproducible.
+    exact and s is a positive even integer: the integer squared distances
+    r2 are grouped, and their weights summed over one common denominator,
+    the lcm of the r2^(s/2).  Float64 otherwise, from the squared distances
+    divided by D^2, with a fixed summation order (block sums added in block
+    order) so results are reproducible; coordinates at or past 2^500 are
+    refused there, as in geometry._float_rows.
     """
     value = _exponent(s)
     if len(mu) < 2:
         return Fraction(0) if mu.base.mode == "exact" else 0.0
     rows, denom = mu.base._scaled_rows()
+    even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
+    if not even:
+        _float_rows(rows, denom)  # refuses rows whose squared distances could overflow float64
     if mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63:
         rows = rows.astype(object)  # Python ints wherever |x - y|^2 could overflow int64
-    even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
     # Exact masses enter as integer numerators (all 1 for uniform masses, which
     # keeps the product path open); pair weights stay below denominator^2.
     weights, mass_denom = mu._weights if even else (mu.mass_array(), 1.0)
-    grouped, total = Counter(), 0.0
-    for diffs, mult in _pair_differences(rows, None if mu.uniform else weights):
+
+    def block_energy(block):
+        diffs, mult = block
         r2 = _row_sums([col * col for col in diffs.T])
         if even:
-            grouped.update(_group_sums(r2, mult))
-        else:
-            total += float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
+            return _group_sums(r2, mult)
+        return float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
+
+    parts = _block_map(block_energy, _pair_differences(rows, None if mu.uniform else weights))
     if even:
-        total = sum(Fraction(weight) / r2 ** int(value // 2) for r2, weight in grouped.items())
+        grouped = Counter()
+        for part in parts:
+            grouped.update(part)
+        k = int(value // 2)
+        common = math.lcm(*grouped)  # lcm(r2^k) = lcm(r2)^k
+        total = Fraction(sum(weight * (common // r2) ** k for r2, weight in grouped.items()), common**k)
         return 2 * Fraction(denom ** int(value), mass_denom**2) * total
-    return 2.0 * total * (float(weights[0]) ** 2 if mu.uniform else 1.0)
+    return 2.0 * sum(parts, 0.0) * (float(weights[0]) ** 2 if mu.uniform else 1.0)
 
 
 @dataclass(frozen=True)
@@ -529,7 +542,9 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray | None:
     g = len(lo)
     total = np.zeros((g,) * (d - 1), dtype=np.float64)
     spec = _EINSUM[d - 1]
-    chunk = max(1, _PAIR_BLOCK // g)  # each denominator expands into g windows per axis
+    # each denominator expands into g windows per axis; this path runs one
+    # chunk at a time, so a chunk may take the pairs the mapped kernels keep in flight
+    chunk = max(1, _IN_FLIGHT * _PAIR_BLOCK // g)
     for a0 in range(0, len(den_vals), chunk):
         a = den_vals[a0 : a0 + chunk]
         cnt = den_counts[a0 : a0 + chunk].astype(np.float64)
@@ -612,14 +627,15 @@ def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
     with a*hi_j < x and stop those with a*lo_j <= x (_edge_counts), and the
     pair adds its mass to every cell of its box of runs.  Membership is that
     of the multiply-through test against every window; only the summation
-    order differs.  Blocks hold half _PAIR_BLOCK pairs, which keeps their
-    index and bound temporaries below those of the test against every
-    window."""
+    order differs: each block adds its pairs into a mass array of its own,
+    and the blocks' arrays are added in block order.  Blocks hold half
+    _PAIR_BLOCK pairs, which keeps their index and bound temporaries below
+    those of the test against every window."""
     d = mu1.base.dimension
     g = len(lo)
-    total = np.zeros(g ** (d - 1), dtype=np.float64)
-    for diffs, wp in _pair_loop(mu1.base.as_array(), mu1.mass_array(), mu2.base.as_array(),
-                                mu2.mass_array(), block=_PAIR_BLOCK // 2):
+
+    def block_mass(block):
+        diffs, wp = block
         np.negative(diffs, out=diffs, where=diffs[:, -1:] < 0)
         a = diffs[:, -1]
         flat, lengths = None, []
@@ -629,7 +645,13 @@ def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
             stop -= first
             flat = first if flat is None else flat * g + first
             lengths.append(stop)
-        _add_boxes(total, flat, lengths, wp, g)
+        mass = np.zeros(g ** (d - 1), dtype=np.float64)
+        _add_boxes(mass, flat, lengths, wp, g)
+        return mass
+
+    blocks = _pair_loop(mu1.base.as_array(), mu1.mass_array(), mu2.base.as_array(), mu2.mass_array(),
+                        block=_PAIR_BLOCK // 2)
+    total = sum(_block_map(block_mass, blocks), np.zeros(g ** (d - 1), dtype=np.float64))
     return total.reshape((g,) * (d - 1))
 
 

@@ -227,6 +227,17 @@ class TestMeasure:
         assert code == 2
         assert err.startswith("error:") and "too small" in err and out == ""
 
+    @pytest.mark.parametrize("s", ["1", "1.5"])
+    def test_energy_of_huge_exact_coordinates_is_usage_error(self, tmp_path, capsys, s):
+        points = write_points(tmp_path, "huge.txt", f"2 3 exact\n{10**400} 0\n0 1\n1 1\n")
+        code, out, err = run_cli(capsys, "measure", "energy", points, "--s", s)
+        assert code == 2 and out == "" and err.startswith("error:") and "2^500" in err
+
+    def test_adaptable_of_huge_exact_coordinates_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "huge.txt", f"2 3 exact\n{10**400} 0\n0 1\n1 1\n")
+        code, out, err = run_cli(capsys, "measure", "adaptable", points, "--s", "1.5", "--bound", "5")
+        assert code == 2 and out == "" and "2^500" in err
+
     def test_split_report(self, tmp_path, capsys):
         points = write_points(
             tmp_path,

@@ -319,6 +319,39 @@ class TestEnergyIntegral:
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
+class TestFloatRangeRefusals:
+    """Float work on exact points past geometry.FLOAT_LIMIT = 2^500 is refused,
+    as coverage and the subset refuse it; exact even-s energies stay exact."""
+
+    HUGE = [(10**400, 0), (0, 1), (1, 1)]
+    LARGE = [(10**200, 0), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("pts", [HUGE, LARGE], ids=["1e400", "1e200"])
+    @pytest.mark.parametrize("s", [1, 1.5, 3])
+    def test_float_energy_refuses(self, pts, s):
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            energy_integral(uniform_weights(PointSet.from_points(pts)), s)
+
+    @pytest.mark.parametrize("pts", [HUGE, LARGE], ids=["1e400", "1e200"])
+    def test_even_energy_stays_exact(self, pts):
+        got = energy_integral(uniform_weights(PointSet.from_points(pts)), 2)
+        assert got == brute_energy(pts, [Fraction(1, 3)] * 3, 2)
+
+    def test_float_energy_just_below_the_limit(self):
+        pts = [(2**499, 0), (0, 1), (1, 1)]
+        got = energy_integral(uniform_weights(PointSet.from_points(pts)), 1.5)
+        assert got == pytest.approx(brute_energy(pts, [1 / 3] * 3, 1.5), rel=1e-12)
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            energy_integral(uniform_weights(PointSet.from_points([(2**500, 0), (0, 1), (1, 1)])), 1.5)
+
+    def test_separation_refuses(self):
+        ps = PointSet.from_points(self.HUGE)
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            discrete_frostman(ps, 1)
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            is_adaptable(ps, 1.5, bound=5)
+
+
 class TestEnergyPaths:
     """Energies on the product difference path against the pair loop."""
 
