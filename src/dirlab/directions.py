@@ -320,7 +320,7 @@ def sphere_coverage_sweep(
                 hits.append((acc, _group_sums(code, mult) if isinstance(acc, Counter) else code))
         return mult, hits
 
-    for mult, hits in _block_map(chart, _pair_differences(_float_rows(*P._scaled_rows()))):
+    for mult, hits in _block_map(chart, _pair_differences(P.as_array())):
         for acc, hit in hits:
             if isinstance(acc, Counter):
                 acc.update(hit)

@@ -198,12 +198,11 @@ class PointSet:
         return iter(self.points)
 
     def as_array(self) -> np.ndarray:
-        """Float64 view rows / denominator, cached.  Each entry equals float() of
-        its Fraction bit for bit: int64 entries and denominators are below
-        2^53, and Python-int division is correctly rounded."""
+        """Float64 view rows / denominator by _float_rows, cached.  Each entry
+        equals float() of its Fraction bit for bit: int64 entries and
+        denominators are below 2^53, and Python-int division is correctly rounded."""
         if self._array is None:
-            rows, denom = self._scaled
-            self._array = rows if self.mode == "float" else np.asarray(rows / denom, dtype=np.float64)
+            self._array = _float_rows(*self._scaled)
         return self._array
 
     def scaled_integer(self) -> tuple[np.ndarray, int] | None:
@@ -456,12 +455,20 @@ def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
     return _pair_loop(arr, weights)
 
 
+def _grouped_sum(keys: np.ndarray, values: np.ndarray):
+    """Sorted distinct keys, the inverse by binary search and per key the sum
+    of values, exact in their dtype and added in their order."""
+    distinct = _sorted_unique(keys)
+    inverse = np.searchsorted(distinct, keys)
+    sums = np.zeros(len(distinct), dtype=values.dtype)
+    np.add.at(sums, inverse, values)
+    return distinct, inverse, sums
+
+
 def _group_sums(keys: np.ndarray, mult: np.ndarray) -> dict:
     """{key: summed multiplicity} over one block, exact in the dtype of mult."""
-    values, inverse = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(values), dtype=mult.dtype)
-    np.add.at(sums, inverse, mult)
-    return dict(zip(values.tolist(), sums.tolist()))
+    distinct, _, sums = _grouped_sum(keys, mult)
+    return dict(zip(distinct.tolist(), sums.tolist()))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ deterministic float64 summation (fixed chunk order).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,8 +17,8 @@ import numpy as np
 
 from .errors import DepthExhausted, NotSeparated, PreconditionFailed
 from .fitting import FitResult, fit_power_law
-from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _float_rows, _group_sums
-from .geometry import _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes, _sorted_unique
+from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _group_sums
+from .geometry import _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes
 
 
 class WeightedPointSet:
@@ -127,12 +126,12 @@ def _separation(P: PointSet, s) -> tuple:
     moves them by those margins.  So the answer is the one a search of
     all pairs would give.
 
-    Points are read as float64 rows (geometry._float_rows, which refuses
-    coordinates at or past 2^500), and a radius with max|x| / radius >= 2^62
+    Points are read as the float64 view P.as_array(), which refuses
+    coordinates at or past 2^500, and a radius with max|x| / radius >= 2^62
     is refused: the cells would leave int64, and the float64 norms near such
     a radius underflow.
     """
-    arr = _float_rows(*P._scaled_rows())
+    arr = P.as_array()
     n, d = arr.shape
     radius = float(n) ** (-1.0 / _exponent(s))
     if max(float(arr.max()), -float(arr.min())) >= radius * 2.0**62:
@@ -209,7 +208,7 @@ def energy_integral(mu: WeightedPointSet, s):
     the lcm of the r2^(s/2).  Float64 otherwise, from the squared distances
     divided by D^2, with a fixed summation order (block sums added in block
     order) so results are reproducible; coordinates at or past 2^500 are
-    refused there, as in geometry._float_rows.
+    refused there, as by PointSet.as_array().
     """
     value = _exponent(s)
     if len(mu) < 2:
@@ -217,7 +216,7 @@ def energy_integral(mu: WeightedPointSet, s):
     rows, denom = mu.base._scaled_rows()
     even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
     if not even:
-        _float_rows(rows, denom)  # refuses rows whose squared distances could overflow float64
+        mu.base.as_array()  # refuses rows whose squared distances could overflow float64
     if mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63:
         rows = rows.astype(object)  # Python ints wherever |x - y|^2 could overflow int64
     # Exact masses enter as integer numerators (all 1 for uniform masses, which
@@ -288,6 +287,25 @@ def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityRepo
 # --- stopping-time cube split ---------------------------------------------
 
 
+def _child_step(code: np.ndarray, rel: np.ndarray, denom, base: int):
+    """One level of both cube searches in base b (4 for the split, 2 for the
+    Frostman constant), on the rows over D of PointSet._scaled_rows().
+
+    An atom keeps rel = D * b^(L-1) * (x - cube corner) in [0, D]^d.  Its
+    child's digits are min(b * rel // D, b - 1), and rel <- b * rel - digits
+    * D, exact on integer rows and, by Sterbenz's lemma, on float rows.
+    Returns the child codes, code (one per atom or one for all) with the
+    digits appended, int64 below 2^63 and Python ints past it, and the new rel."""
+    rel = base * rel  # a fresh array, so the caller's rows stay as they are
+    digits = np.minimum(rel // denom, base - 1)
+    rel -= digits * denom
+    if code.dtype != object and (int(code.max()) + 1) * base ** rel.shape[1] > 1 << 63:
+        code = code.astype(object)
+    for col in digits.T.astype(np.int64, copy=False):
+        code = code * base + col
+    return code, rel
+
+
 @dataclass
 class CubeSplit:
     """Two heavy, coordinate-separated quarter-cube pieces of a measure.
@@ -322,14 +340,10 @@ def stopping_time_split(
     the most coordinates wins, then the heavier, then index order.  With
     no qualifying pair, recursion descends into the heaviest child.
 
-    The search runs on PointSet._scaled_rows() over their denominator D (1.0
-    for float rows): at level L an atom keeps rel = D * 4^(L-1) * (x - cube
-    origin) <= D, its child index is clip(4 * rel // D, 0, 3) and the descent
-    sets rel to 4 * rel - index * D, exactly for floats too (Sterbenz's
-    lemma).  Exact rows are int64 within the bounds of scaled_integer() and
-    Python ints past them.  Child masses sum the measure's weights: integer
+    Children are found by _child_step in base 4 on the stored rows, and
+    their masses by one grouped sum of the measure's weights: integer
     numerators over its mass denominator for exact measures, floats in atom
-    order otherwise, so the heavy-child search compares ints or floats.
+    order otherwise, so the heavy-child test compares ints or floats.
     """
     d = mu.base.dimension
     if c is None:
@@ -345,61 +359,43 @@ def stopping_time_split(
     # a child is heavy when mass * c_den >= c_num * cube_mass
     weights, total = mu._weights if exact else (mu.mass_array(), 1.0)
     c_num, c_den = Fraction(c).as_integer_ratio() if exact else (float(c), 1)
-    powers = 4 ** np.arange(d - 1, -1, -1, dtype=np.int64 if d < 32 else object)
 
     # the current cube is corner * side + [0, side]^d, side = 4^(1-level); its mass
     corner, cube_mass = [0] * d, total
     index, rel = np.arange(len(rows)), rows  # atoms of mu inside the current cube
 
     for level in range(1, max_depth + 1):
-        child = np.clip((4 * rel) // denom, 0, 3).astype(np.int64)
-        code = child @ powers
-        codes = _sorted_unique(code)
-        inverse = np.searchsorted(codes, code)
-        sums = np.zeros(len(codes), dtype=weights.dtype)
-        np.add.at(sums, inverse, weights[index])
-        keys = [tuple(v // 4**k % 4 for k in range(d - 1, -1, -1)) for v in codes.tolist()]
-        child_mass = dict(zip(keys, sums.tolist()))
-
-        heavy = sorted(key for key, m in child_mass.items() if m * c_den >= c_num * cube_mass)
-
-        best = None
-        for a, b in itertools.combinations(heavy, 2):
-            gaps = [abs(x - y) for x, y in zip(a, b)]
-            wide = sum(1 for g in gaps if g >= 2)
-            if wide == 0:
-                continue
-            score = (wide, min(child_mass[a], child_mass[b]), child_mass[a] + child_mass[b])
-            if best is None or score > best[0] or (score == best[0] and (a, b) < best[1]):
-                best = (score, (a, b), gaps)
-        if best is not None:
-            _, (a, b), gaps = best
-            widest = max(gaps)
-            sep_coordinate = max(k for k, g in enumerate(gaps) if g == widest)
+        code, child_rel = _child_step(np.zeros(1, dtype=np.int64), rel, denom, 4)
+        codes, inverse, sums = _grouped_sum(code, weights[index])
+        keys = codes[:, None] >> 2 * np.arange(d - 1, -1, -1) & 3  # digit rows, in lexicographic order
+        heavy = np.flatnonzero([m * c_den >= c_num * cube_mass for m in sums.tolist()])
+        a, b = heavy[np.array(np.triu_indices(len(heavy), 1))]  # heavy pairs, in (a, b) order
+        gaps = np.abs(keys[a] - keys[b])
+        wide = np.count_nonzero(gaps >= 2, axis=1)
+        if wide.any():
+            # the last pair in (wide, min mass, summed mass, -position) order
+            best = np.lexsort((-np.arange(len(a)), sums[a] + sums[b], np.minimum(sums[a], sums[b]), wide))[-1]
+            a, b = int(a[best]), int(b[best])
             side = Fraction(1, 4 ** (level - 1)) if exact else 4.0 ** (1 - level)
-            sels = [index[inverse == keys.index(key)] for key in (a, b)]
             return CubeSplit(
                 pieces=tuple(WeightedPointSet._from_weights(PointSet._from_scaled(rows[sel], denom),
-                                                            weights[sel], child_mass[key])
-                             for sel, key in zip(sels, (a, b))),
-                piece_masses=tuple(Fraction(child_mass[key], total) if exact else child_mass[key]
-                                   for key in (a, b)),
+                                                            weights[sel], sums.item(t))
+                             for t in (a, b) for sel in [index[inverse == t]]),
+                piece_masses=tuple(Fraction(sums.item(t), total) if exact else sums.item(t) for t in (a, b)),
                 level=level,
-                sep_coordinate=sep_coordinate,
+                sep_coordinate=d - 1 - int(np.argmax(gaps[best, ::-1])),  # the last widest gap
                 sep_distance=float(side / 4),
                 cube_origin=tuple(v * side for v in corner),
                 cube_side=float(side),
                 parent_mass=cube_mass / total,
                 threshold=c_num * cube_mass / (c_den * total),
-                child_indices=(a, b),
+                child_indices=(tuple(keys[a].tolist()), tuple(keys[b].tolist())),
             )
 
-        key = max(child_mass.items(), key=lambda kv: (kv[1], [-v for v in kv[0]]))[0]
-        corner = [4 * v + k for v, k in zip(corner, key)]
-        cube_mass = child_mass[key]
-        keep = inverse == keys.index(key)
-        index, rel = index[keep], rel[keep]
-        rel = 4 * rel - np.array(key, dtype=rel.dtype) * denom
+        top = int(np.argmax(sums))  # the heaviest child; the smallest code on ties
+        corner, cube_mass = [4 * v + k for v, k in zip(corner, keys[top].tolist())], sums.item(top)
+        keep = inverse == top
+        index, rel = index[keep], child_rel[keep]
 
     raise DepthExhausted(max_depth)
 
@@ -438,9 +434,10 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
 def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     """Max of cube mass / side^s over dyadic cubes down to side 2^(-depth).
 
-    Atom x lies in cube clip(floor(x * 2^j), 0, 2^j - 1) at level j, found
-    on the stored rows by the split's descent in base 2, exact for floats
-    too; cubes are renumbered per level, so no index overflows (README).
+    Atom x lies in cube clip(floor(x * 2^j), 0, 2^j - 1) at level j: rows
+    clipped to the unit cube descend by _child_step in base 2, and a grouped
+    sum per level adds mass_array() in atom order and renumbers the cubes,
+    so no code overflows (README).
     """
     if depth < 1:
         raise PreconditionFailed("depth must be at least 1")
@@ -449,16 +446,11 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     rel = np.clip(rows, 0, denom)
     w = mu.mass_array()
     worst = float(mu.total_mass())  # level 0: the unit cube itself
-    dtype = np.int64 if len(rows) << rows.shape[1] < 1 << 62 else object
     cube = np.zeros(len(rows), dtype=np.int64)
     for j in range(1, depth + 1):
-        bits = np.minimum(2 * rel // denom, 1)
-        rel = 2 * rel - bits * denom
-        code = cube.astype(dtype)
-        for col in bits.T.astype(np.int64):
-            code = code * 2 + col
-        _, cube = np.unique(code, return_inverse=True)
-        worst = max(worst, float(np.bincount(cube, weights=w).max()) * (2.0**j) ** s)
+        code, rel = _child_step(cube, rel, denom, 2)
+        _, cube, sums = _grouped_sum(code, w)
+        worst = max(worst, float(sums.max()) * (2.0**j) ** s)
     return worst
 
 

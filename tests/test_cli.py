@@ -238,6 +238,12 @@ class TestMeasure:
         code, out, err = run_cli(capsys, "measure", "adaptable", points, "--s", "1.5", "--bound", "5")
         assert code == 2 and out == "" and "2^500" in err
 
+    def test_density_of_huge_exact_coordinates_is_usage_error(self, tmp_path, capsys):
+        upper = write_points(tmp_path, "big.txt", f"2 2 exact\n0 0\n1 {10**400}\n")
+        lower = write_points(tmp_path, "low.txt", "2 2 exact\n0 -1\n1 -2\n")
+        code, out, err = run_cli(capsys, "measure", "density", upper, lower, "--eps", "0.1")
+        assert code == 2 and out == "" and err.startswith("error:") and "2^500" in err
+
     def test_split_report(self, tmp_path, capsys):
         points = write_points(
             tmp_path,

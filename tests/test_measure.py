@@ -351,6 +351,15 @@ class TestFloatRangeRefusals:
         with pytest.raises(PreconditionFailed, match="2\\^500"):
             is_adaptable(ps, 1.5, bound=5)
 
+    def test_slope_windows_refuse(self):
+        # the windows read the float view, which refuses coordinates at or past 2^500
+        mu1 = uniform_weights(PointSet.from_points([(0, 0), (1, 10**400)]))
+        mu2 = uniform_weights(PointSet.from_points([(0, -1), (1, -2)]))
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            slope_density(mu1, mu2, 0.1)
+        with pytest.raises(PreconditionFailed, match="2\\^500"):
+            mu1.base.as_array()
+
 
 class TestEnergyPaths:
     """Energies on the product difference path against the pair loop."""
@@ -666,6 +675,39 @@ class TestSplitAgainstReference:
         assert split.level > 1
 
 
+@st.composite
+def tied_children(draw):
+    """Children of the unit cube at level one, all of one mass, so every
+    pair of children that are wide in equally many coordinates ties on the
+    split's full score; drawn until at least two qualifying pairs tie.
+    Each child holds the atoms 1/4 and 3/4 of the way along its diagonal."""
+    d = draw(st.sampled_from([2, 3]))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=3, max_size=8, unique=True))
+    wide = [sum(abs(x - y) >= 2 for x, y in zip(a, b)) for a, b in itertools.combinations(cells, 2)]
+    assume(max(wide) > 0 and wide.count(max(wide)) >= 2)
+    return cells
+
+
+class TestSplitTiesAgainstReference:
+    """Qualifying pairs that tie on (wide, min mass, summed mass) go to the
+    smallest (a, b), on every kind of mass array."""
+
+    @pytest.mark.parametrize("kind, dtype", [("int64", np.int64), ("float", np.float64), ("object", object)])
+    @given(tied_children())
+    def test_ties_go_to_the_smallest_pair(self, kind, dtype, cells):
+        # per child the masses 1/(kq) and (q-1)/(kq): q past 2^31 leaves the int64 form
+        k, q = len(cells), (1 << 31) + 11 if kind == "object" else 3
+        points = [tuple(Fraction(4 * c + t, 16) for c in cell) for cell in cells for t in (1, 3)]
+        masses = [Fraction(1, k * q), Fraction(q - 1, k * q)] * k
+        if kind == "float":
+            points = [tuple(float(v) for v in p) for p in points]
+            masses = [float(m) for m in masses]
+        mu = WeightedPointSet(PointSet.from_points(points), tuple(masses))
+        assert mu._weights[0].dtype == dtype
+        split = assert_matches_reference(mu, Fraction(1, 4**len(cells[0])))
+        assert split.level == 1
+
+
 class TestFrostmanConstant:
     def test_uniform_grid_exactly_one(self):
         mu = uniform_weights(lattice_set(LatticeSpec(q=3, d=2)))
@@ -746,6 +788,42 @@ class TestFrostmanAgainstReference:
         pts = [tuple(Fraction((i >> k) & 1, 2) for k in range(3)) + (0,) * 59 for i in range(8)]
         mu = uniform_weights(PointSet.from_points(pts))
         assert frostman_constant(mu, 3, 2) == oracle_frostman(mu, 3, 2) == 8.0
+
+
+@st.composite
+def float_mass_measures(draw):
+    """Measures with non-dyadic float masses on points k/10 packed into the
+    cube [0, 2^-zoom]^d, several atoms to a cube, so the order in which a
+    cube's masses are added shows."""
+    d, zoom = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    coord = st.integers(0, 10).map(lambda k: Fraction(k, 10 << zoom))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=8, max_size=40, unique=True))
+    if draw(st.booleans()):
+        pts = [tuple(float(c) for c in p) for p in pts]
+    units = draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+    return WeightedPointSet(PointSet.from_points(pts), [u / sum(units) for u in units])
+
+
+def atom_order_frostman(mu, s, depth):
+    """frostman_constant with each cube's float masses added in atom order,
+    cubes found by a Fraction floor; level 0 is the measure's total mass."""
+    worst = float(mu.total_mass())
+    for j in range(1, depth + 1):
+        m = 1 << j
+        cubes = {}
+        for p, mass in zip(mu.base.points, mu.mass_array().tolist()):
+            cube = tuple(min(m - 1, max(0, math.floor(Fraction(c) * m))) for c in p)
+            cubes[cube] = cubes.get(cube, 0.0) + mass
+        worst = max(worst, max(cubes.values()) * (2.0**j) ** s)
+    return worst
+
+
+class TestFrostmanFloatSumsAgainstReference:
+    """Float cube masses are sums in atom order, bit for bit."""
+
+    @given(float_mass_measures(), st.sampled_from([0.5, 1, 2.5]), st.integers(1, 5))
+    def test_matches_atom_order_sums(self, mu, s, depth):
+        assert frostman_constant(mu, s, depth).hex() == atom_order_frostman(mu, s, depth).hex()
 
 
 class TestSlopeDensity:
