@@ -8,8 +8,11 @@ quantized direction keys so that nearly parallel pairs collide predictably.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
+import re
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -70,12 +73,12 @@ def _fits(denom, lo, hi) -> bool:
     return denom <= MAX_DENOMINATOR and -MAX_NUMERATOR <= lo and hi <= MAX_NUMERATOR
 
 
-def _over_lcm(values: Sequence) -> tuple[np.ndarray, int]:
-    """Rationals (Fractions or ints) as integers over the lcm of their
-    denominators: int64 within the bounds of PointSet.scaled_integer(),
-    Python ints (object) past them."""
-    denom = math.lcm(*{v.denominator for v in values})
-    ints = [v.numerator * (denom // v.denominator) for v in values]
+def _over_lcm(nums: Sequence, dens: Sequence) -> tuple[np.ndarray, int]:
+    """Rationals nums[i] / dens[i], each in lowest terms, as integers over
+    the lcm of their denominators: int64 within the bounds of
+    PointSet.scaled_integer(), Python ints (object) past them."""
+    denom = math.lcm(*set(dens))
+    ints = list(map(operator.mul, nums, map(operator.floordiv, itertools.repeat(denom), dens)))
     fits = _fits(denom, min(ints, default=0), max(ints, default=0))
     return np.array(ints, dtype=np.int64 if fits else object), denom
 
@@ -98,8 +101,9 @@ class PointSet:
     coordinate denominators: int64 within MAX_DENOMINATOR and MAX_NUMERATOR,
     Python ints in an object array past them.  Float sets keep float64 rows
     over 1.0.  ``points`` and ``as_array()`` are views built on first use.
-    Every set is made by ``_from_scaled``; treat instances as immutable, since
-    the cached arrays are shared between callers.
+    Every set is made by ``_from_scaled``, or by ``_take`` from one that was;
+    treat instances as immutable, since the cached arrays are shared between
+    callers.
     """
 
     dimension: int
@@ -132,7 +136,8 @@ class PointSet:
             raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
         if mode == "float":
             return cls._from_scaled(pts, 1.0)
-        flat, denom = _over_lcm([c for p in pts for c in p])
+        flat = [c for p in pts for c in p]
+        flat, denom = _over_lcm([c.numerator for c in flat], [c.denominator for c in flat])
         ps = cls._from_scaled(flat.reshape(len(pts), dimension), denom)
         ps._points = pts
         return ps
@@ -154,7 +159,7 @@ class PointSet:
         if mode == "float":
             rows, denom = _float_rows(rows, denom), 1.0
             keys = np.round(rows / DUPLICATE_RESOLUTION)
-            distinct = len(np.unique(keys, axis=0))
+            distinct = len(_distinct_words(list(keys.T))[0])
         else:
             if rows.dtype.kind not in "iuO" or denom < 1 or (
                     rows.dtype != object and not _fits(denom, rows.min(), rows.max())):
@@ -169,6 +174,15 @@ class PointSet:
             where = f" at resolution {DUPLICATE_RESOLUTION}" if mode == "float" else ""
             raise PreconditionFailed(f"duplicate point {ps.points[i]}{where}")
         return ps
+
+    def _take(self, index) -> "PointSet":
+        """The set of the stored rows at index (distinct positions), already
+        checked: exact rows only go back to lowest terms by _lowest_terms,
+        so the result equals _from_scaled on them."""
+        rows, denom = self._scaled
+        rows = rows[index]
+        scaled = (rows, denom) if self.mode == "float" else _lowest_terms(rows, denom)
+        return PointSet(dimension=self.dimension, mode=self.mode, _scaled=scaled)
 
     @property
     def points(self) -> tuple:
@@ -482,11 +496,19 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 def _distinct_words(words: list) -> list:
     """The distinct tuples (words[0][i], words[1][i], ...) in lexicographic
-    order, as word arrays again: one word by sort and adjacent compare,
-    several by one lexsort."""
+    order, as word arrays again: one word by sort and adjacent compare;
+    several by a sort on the first word, then one lexsort over just the
+    tuples whose first word ties (they stand in runs, so it sorts each run)."""
     if len(words) == 1:
         return [_sorted_unique(words[0])]
-    order = np.lexsort(words[::-1])
+    order = np.argsort(words[0])
+    tie = np.zeros(len(order) + 1, dtype=bool)
+    first = words[0][order]
+    np.equal(first[1:], first[:-1], out=tie[1:-1])
+    run = np.flatnonzero(tie[1:] | tie[:-1])
+    if len(run):
+        rows = order[run]
+        order[run] = rows[np.lexsort([w[rows] for w in words[::-1]])]
     words = [w[order] for w in words]
     keep = np.ones(len(order), dtype=bool)
     keep[1:] = np.any([w[1:] != w[:-1] for w in words], axis=0)
@@ -502,7 +524,8 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
     Python-int (object) rows, whose words are Python ints, and for int64
     rows as few words as keep each within int64.  Each chunk is packed and
     deduplicated on its words (by the worker that fills it, for _Blocks),
-    then their union is, in chunk order, and the words unpack to the rows."""
+    then, over several chunks, their union is, in chunk order, and the words
+    unpack to the rows."""
     base = 2 * bound + 1
 
     def pack(rows):
@@ -519,8 +542,9 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
         return spans, _distinct_words(words)
 
     parts = list(_block_map(pack, chunk_rows))
-    spans = parts[-1][0]
-    words = _distinct_words([np.concatenate(column) for column in zip(*(words for _, words in parts))])
+    spans, words = parts[-1]
+    if len(parts) > 1:
+        words = _distinct_words([np.concatenate(column) for column in zip(*(words for _, words in parts))])
     out = np.empty((len(words[0]), d), dtype=words[0].dtype)
     for (lo, hi), rem in zip(spans, words):
         for j in range(hi - 1, lo, -1):
@@ -656,8 +680,13 @@ def collinearity_rank(ps: PointSet) -> int:
 
 # --- point set files -------------------------------------------------------
 #
-# Line 1: "d n mode"; then n lines of d whitespace separated coordinates.
-# Exact mode writes num/den tokens and round trips bit exactly.
+# ASCII text.  Line 1: "d n mode"; then n lines of d whitespace separated
+# coordinates; blank lines are skipped but counted in line numbers.  Exact
+# mode writes num/den tokens and round trips bit exactly; it reads any token
+# Fraction(str) reads.  Float mode reads any token float() reads.
+
+# exact tokens "[+-]digits/digits" with a nonzero denominator, joined by spaces
+_RATIONALS = re.compile(r"[+-]?[0-9]+/0*[1-9][0-9]*(?: [+-]?[0-9]+/0*[1-9][0-9]*)*")
 
 
 def write_point_set(ps: PointSet, target) -> None:
@@ -673,31 +702,75 @@ def write_point_set(ps: PointSet, target) -> None:
 
 
 def read_point_set(path) -> PointSet:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise FormatError("header must be 'd n mode'")
-        try:
-            dimension, count = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise FormatError(f"bad header counts: {header[:2]}") from exc
-        mode = header[2]
-        if mode not in ("exact", "float"):
-            raise FormatError(f"unknown mode {mode!r}")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != dimension:
-                raise FormatError(f"line {lineno}: expected {dimension} coordinates")
+    """The point set in the file at path, in the format above.
+
+    One pass turns the lines into the stored (rows, denominator) for
+    _from_scaled: float tokens by one float64 conversion, exact tokens of
+    the form [+-]digits(/digits) by int() and each reduced to lowest terms
+    (any other token by Fraction), over the lcm of their denominators.
+    Exact sets build their ``points`` view on first use.  Only when that
+    pass fails does a line-by-line loop run, to report the first bad line.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 3:
+                raise FormatError("header must be 'd n mode'")
             try:
-                if mode == "exact":
-                    rows.append(tuple(Fraction(t) for t in tokens))
-                else:
-                    rows.append(tuple(float(t) for t in tokens))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"line {lineno}: bad token") from exc
-        if len(rows) != count:
-            raise FormatError(f"expected {count} points, found {len(rows)}")
-    return PointSet.from_points(rows, mode=mode)
+                dimension, count = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise FormatError(f"bad header counts: {header[:2]}") from exc
+            mode = header[2]
+            if mode not in ("exact", "float"):
+                raise FormatError(f"unknown mode {mode!r}")
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"point files are ASCII text: {exc}") from exc
+    rows = list(filter(None, map(str.split, lines)))  # the tokens of each non-blank line
+    if set(map(len, rows)) - {dimension}:
+        _raise_first_bad_line(lines, dimension, mode)
+    try:
+        scaled = _parse_rows(rows, dimension, mode) if rows else None
+    except (ValueError, ZeroDivisionError):
+        _raise_first_bad_line(lines, dimension, mode)
+        raise
+    if len(rows) != count:
+        raise FormatError(f"expected {count} points, found {len(rows)}")
+    if not rows:
+        raise PreconditionFailed("a point set needs at least one point")
+    if dimension < 2:
+        raise PreconditionFailed("ambient dimension must be at least 2")
+    return PointSet._from_scaled(*scaled)
+
+
+def _parse_rows(rows: list, dimension: int, mode: str) -> tuple[np.ndarray, int | float]:
+    """The token rows as (rows, denominator) for PointSet._from_scaled."""
+    tokens = list(itertools.chain.from_iterable(rows))
+    if mode == "float":
+        return np.array(tokens, dtype=np.float64).reshape(len(rows), dimension), 1.0
+    joined = " ".join(tokens)
+    if joined.count("/") != len(tokens):  # some token is an integer, or no fast form
+        joined = " ".join(t if "/" in t else t + "/1" for t in tokens)
+    if _RATIONALS.fullmatch(joined):
+        ints = list(map(int, joined.replace("/", " ").split()))
+        nums, dens = ints[0::2], ints[1::2]
+        gcds = list(map(math.gcd, nums, dens))
+        nums, dens = list(map(operator.floordiv, nums, gcds)), list(map(operator.floordiv, dens, gcds))
+    else:
+        nums, dens = zip(*(Fraction(t).as_integer_ratio() for t in tokens))
+    flat, denom = _over_lcm(nums, dens)
+    return flat.reshape(len(rows), dimension), denom
+
+
+def _raise_first_bad_line(lines: list, dimension: int, mode: str) -> None:
+    """Raise FormatError for the first line, from line 2, with a wrong
+    number of tokens or a token that Fraction (exact) or float does not read."""
+    parse = Fraction if mode == "exact" else float
+    for lineno, line in enumerate(lines, start=2):
+        tokens = line.split()
+        if tokens and len(tokens) != dimension:
+            raise FormatError(f"line {lineno}: expected {dimension} coordinates")
+        try:
+            list(map(parse, tokens))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"line {lineno}: bad token") from exc

@@ -37,7 +37,7 @@ class WeightedPointSet:
     def __init__(self, base: PointSet, masses, thickening_radius: float | None = None):
         masses = tuple(masses)
         if all(isinstance(m, (int, Fraction)) for m in masses):
-            weights, denom = _over_lcm(masses)
+            weights, denom = _over_lcm([m.numerator for m in masses], [m.denominator for m in masses])
         else:
             weights, denom = np.array([float(m) for m in masses], dtype=np.float64), 1.0
         vars(self).update(vars(self._from_weights(base, weights, denom, thickening_radius)), _masses=masses)
@@ -292,18 +292,25 @@ def _child_step(code: np.ndarray, rel: np.ndarray, denom, base: int):
     Frostman constant), on the rows over D of PointSet._scaled_rows().
 
     An atom keeps rel = D * b^(L-1) * (x - cube corner) in [0, D]^d.  Its
-    child's digits are min(b * rel // D, b - 1), and rel <- b * rel - digits
-    * D, exact on integer rows and, by Sterbenz's lemma, on float rows.
-    Returns the child codes, code (one per atom or one for all) with the
-    digits appended, int64 below 2^63 and Python ints past it, and the new rel."""
-    rel = base * rel  # a fresh array, so the caller's rows stay as they are
-    digits = np.minimum(rel // denom, base - 1)
-    rel -= digits * denom
+    child's digits are min(b * rel // D, b - 1), and _descend takes rel into
+    the child.  Returns the child codes, code (one per atom or one for all)
+    with the digits appended, int64 below 2^63 and Python ints past it, and
+    the digits, in the dtype of rel."""
+    digits = base * rel  # a fresh array, so the caller's rows stay as they are
+    digits //= denom
+    np.minimum(digits, base - 1, out=digits)
     if code.dtype != object and (int(code.max()) + 1) * base ** rel.shape[1] > 1 << 63:
         code = code.astype(object)
     for col in digits.T.astype(np.int64, copy=False):
         code = code * base + col
-    return code, rel
+    return code, digits
+
+
+def _descend(rel: np.ndarray, digits, denom, base: int) -> np.ndarray:
+    """rel <- b * rel - digits * D: the atoms' rel in the child of those
+    digits (one row per atom, or one row for all), exact on integer rows
+    and, by Sterbenz's lemma, on float rows."""
+    return base * rel - digits * denom
 
 
 @dataclass
@@ -343,7 +350,9 @@ def stopping_time_split(
     Children are found by _child_step in base 4 on the stored rows, and
     their masses by one grouped sum of the measure's weights: integer
     numerators over its mass denominator for exact measures, floats in atom
-    order otherwise, so the heavy-child test compares ints or floats.
+    order otherwise, so the heavy-child test compares ints or floats.  Only
+    the atoms of the child the search descends into are taken into it
+    (_descend), and the pieces are subsets of a checked set (PointSet._take).
     """
     d = mu.base.dimension
     if c is None:
@@ -365,7 +374,7 @@ def stopping_time_split(
     index, rel = np.arange(len(rows)), rows  # atoms of mu inside the current cube
 
     for level in range(1, max_depth + 1):
-        code, child_rel = _child_step(np.zeros(1, dtype=np.int64), rel, denom, 4)
+        code = _child_step(np.zeros(1, dtype=np.int64), rel, denom, 4)[0]
         codes, inverse, sums = _grouped_sum(code, weights[index])
         keys = codes[:, None] >> 2 * np.arange(d - 1, -1, -1) & 3  # digit rows, in lexicographic order
         heavy = np.flatnonzero([m * c_den >= c_num * cube_mass for m in sums.tolist()])
@@ -378,8 +387,7 @@ def stopping_time_split(
             a, b = int(a[best]), int(b[best])
             side = Fraction(1, 4 ** (level - 1)) if exact else 4.0 ** (1 - level)
             return CubeSplit(
-                pieces=tuple(WeightedPointSet._from_weights(PointSet._from_scaled(rows[sel], denom),
-                                                            weights[sel], sums.item(t))
+                pieces=tuple(WeightedPointSet._from_weights(mu.base._take(sel), weights[sel], sums.item(t))
                              for t in (a, b) for sel in [index[inverse == t]]),
                 piece_masses=tuple(Fraction(sums.item(t), total) if exact else sums.item(t) for t in (a, b)),
                 level=level,
@@ -395,7 +403,7 @@ def stopping_time_split(
         top = int(np.argmax(sums))  # the heaviest child; the smallest code on ties
         corner, cube_mass = [4 * v + k for v, k in zip(corner, keys[top].tolist())], sums.item(top)
         keep = inverse == top
-        index, rel = index[keep], child_rel[keep]
+        index, rel = index[keep], _descend(rel[keep], keys[top].astype(rel.dtype), denom, 4)
 
     raise DepthExhausted(max_depth)
 
@@ -448,7 +456,8 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     worst = float(mu.total_mass())  # level 0: the unit cube itself
     cube = np.zeros(len(rows), dtype=np.int64)
     for j in range(1, depth + 1):
-        code, rel = _child_step(cube, rel, denom, 2)
+        code, digits = _child_step(cube, rel, denom, 2)
+        rel = _descend(rel, digits, denom, 2)
         _, cube, sums = _grouped_sum(code, w)
         worst = max(worst, float(sums.max()) * (2.0**j) ** s)
     return worst
