@@ -725,7 +725,7 @@ def read_point_set(path) -> PointSet:
                 raise FormatError(f"unknown mode {mode!r}")
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"point files are ASCII text: {exc}") from exc
+        raise FormatError(f"a point file is ASCII text, not byte {exc.object[exc.start]:#04x}") from exc
     rows = list(filter(None, map(str.split, lines)))  # the tokens of each non-blank line
     if set(map(len, rows)) - {dimension}:
         _raise_first_bad_line(lines, dimension, mode)

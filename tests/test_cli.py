@@ -356,6 +356,13 @@ class TestExperimentAndErrors:
         assert code == 2
         assert "error:" in err and "line 3" in err
 
+    def test_non_ascii_byte_is_usage_error(self, tmp_path, capsys):
+        points = tmp_path / "bad.txt"
+        points.write_bytes("2 2 exact\n0 0\n1 é\n".encode("utf-8"))
+        code, out, err = run_cli(capsys, "directions", "count", str(points))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "ASCII" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

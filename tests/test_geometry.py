@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_direction, product_point_sets
 import reference_generators
+import reference_io
 import reference_pairs
 from dirlab import (
     DIRECTION_RESOLUTION,
@@ -475,6 +476,266 @@ class TestPointSetFiles:
         path.write_text("2 2 complex\n0 0\n1 1\n")
         with pytest.raises(FormatError):
             read_point_set(path)
+
+    def test_non_ascii_byte_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("2 2 exact\n0 0\n1 \u00e9\n".encode("utf-8"))
+        with pytest.raises(FormatError, match="ASCII"):
+            read_point_set(path)
+
+
+def fraction_reads(token):
+    try:
+        Fraction(token)
+    except ValueError:
+        return False
+    return True
+
+
+# Exact tokens: the writer's num/den form, integers with and without a sign,
+# reducible fractions, and forms only Fraction(str) reads ("1_000" from
+# Python 3.11 on).
+EXACT_SPELLINGS = [t for t in ["3", "-3/4", "6/8", "+5", "-0", "007/014", "0.5", "1e3", "1_000", "-2.25"]
+                   if fraction_reads(t)]
+# 2^31 + 11 is prime, so k * WIDE / (j * WIDE) reduces to k / j only by WIDE
+WIDE = (1 << 31) + 11
+
+
+@st.composite
+def exact_tokens(draw):
+    kind = draw(st.sampled_from(["int", "frac", "spelling", "big", "reduces", "wide"]))
+    if kind == "int":
+        k = draw(st.integers(-20, 20))
+        return draw(st.sampled_from([str(k), f"+{k}" if k >= 0 else f"-{-k}"]))
+    if kind == "frac":
+        return f"{draw(st.integers(-30, 30))}/{draw(st.integers(1, 12))}"
+    if kind == "spelling":
+        return draw(st.sampled_from(EXACT_SPELLINGS))
+    if kind == "big":  # numerator past 2^40: object rows
+        return f"{draw(st.sampled_from([-1, 1])) * draw(st.integers(1 << 40, 1 << 70))}/{draw(st.integers(1, 9))}"
+    if kind == "reduces":  # denominator past 2^31 that reduces to a small one
+        return f"{draw(st.integers(-9, 9)) * WIDE}/{draw(st.integers(1, 4)) * WIDE}"
+    return f"{draw(st.integers(-9, 9))}/{WIDE}"  # denominator past 2^31: object rows
+
+
+FLOAT_SPELLINGS = ["1e3", "+.5", "1_0", "-0.0", "0.5", "3", "-2.5E-3", "1.0000000000000002"]
+float_tokens = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(FLOAT_SPELLINGS),
+)
+
+
+def float_key(token):
+    return round(float(token) / geometry.DUPLICATE_RESOLUTION)
+
+
+@st.composite
+def point_files(draw):
+    """The text of a well-formed point file: distinct points (at
+    DUPLICATE_RESOLUTION for floats) written with mixed separators, CRLF or
+    LF line ends, padding and blank lines."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    d = draw(st.integers(2, 4))
+    token, key = (exact_tokens(), Fraction) if mode == "exact" else (float_tokens, float_key)
+    rows = draw(st.lists(st.lists(token, min_size=d, max_size=d), min_size=1, max_size=8,
+                         unique_by=lambda row: tuple(map(key, row))))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{d} {len(rows)} {mode}"]
+    for row in rows:
+        lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2)))
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t"]), min_size=d - 1, max_size=d - 1))
+        lead, trail = draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=2, max_size=2))
+        lines.append(lead + row[0] + "".join(sep + t for sep, t in zip(seps, row[1:])) + trail)
+    return end.join(lines) + draw(st.sampled_from(["", end, end + " " + end]))
+
+
+def assert_same_set(got, want):
+    """Mode, dimension, dtype, rows and denominator alike; exact rows of Python ints."""
+    g_rows, g_denom = got._scaled_rows()
+    w_rows, w_denom = want._scaled_rows()
+    assert (got.mode, got.dimension) == (want.mode, want.dimension)
+    assert g_rows.dtype == w_rows.dtype and g_rows.shape == w_rows.shape
+    assert type(g_denom) is type(w_denom) and g_denom == w_denom
+    if g_rows.dtype == object:
+        assert g_rows.tolist() == w_rows.tolist() and {type(v) for v in g_rows.ravel()} == {int}
+    else:
+        assert g_rows.tobytes() == w_rows.tobytes()
+    assert got.points == want.points
+
+
+def assert_reads_alike(path):
+    """The library reader and the line-by-line reference give equal sets, or
+    raise the same exception type with the same message."""
+    try:
+        want = reference_io.read_point_set(path)
+    except Exception as exc:  # noqa: BLE001 - any failure must be reproduced
+        with pytest.raises(type(exc)) as got:
+            read_point_set(path)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return None
+    got = read_point_set(path)
+    assert_same_set(got, want)
+    return got
+
+
+class TestReaderAgainstReference:
+    """read_point_set against the line-by-line Fraction reader it replaced."""
+
+    @given(text=point_files())
+    def test_well_formed_files_read_alike(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("files") / "pts.txt"
+        path.write_bytes(text.encode("ascii"))
+        got = read_point_set(path)
+        if got.mode == "exact":
+            assert got._points is None  # built on first use, from the rows
+        assert_same_set(got, reference_io.read_point_set(path))
+
+    @given(text=point_files(), data=st.data())
+    def test_corrupted_files_fail_alike(self, tmp_path_factory, text, data):
+        lines = text.split("\n")
+        at = data.draw(st.integers(1, len(lines) - 1))
+        how = data.draw(st.sampled_from(["drop", "add", "token", "zero", "nan", "count", "dup"]))
+        tokens = lines[at].split() or ["0"]
+        if how == "drop":
+            lines[at] = " ".join(tokens[:-1])
+        elif how == "add":
+            lines[at] = " ".join(tokens + ["1"])
+        elif how == "token":
+            lines[at] = " ".join(tokens[:-1] + [data.draw(st.sampled_from(["x", "1/2/3", "3/-4", "/2", "1.2.3", "inf"]))])
+        elif how == "zero":
+            lines[at] = " ".join(tokens[:-1] + ["1/0"])
+        elif how == "nan":
+            lines[at] = " ".join(tokens[:-1] + ["nan"])
+        elif how == "count":
+            head = lines[0].split()
+            lines[0] = " ".join([head[0], str(int(head[1]) + data.draw(st.sampled_from([-1, 1]))), head[2]])
+        else:
+            lines.append(lines[at])
+            head = lines[0].split()
+            lines[0] = " ".join([head[0], str(int(head[1]) + 1), head[2]])
+        path = tmp_path_factory.mktemp("files") / "bad.txt"
+        path.write_bytes("\n".join(lines).encode("ascii"))
+        assert_reads_alike(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # header
+            "", "2 2\n0 0\n1 1\n", "2 two exact\n0 0\n1 1\n", "2 2 complex\n0 0\n1 1\n",
+            # line length, and which of two problems comes first
+            "2 2 exact\n0 0\n1 1 1\n", "2 2 float\n0 0\n\n1\n", "2 3 exact\n0 x\n1 1 1\n0 1\n",
+            "2 3 exact\n0 0 0\n1 x\n0 1\n", "0 1 exact\n1\n", "-1 1 float\n1\n",
+            # bad token
+            "2 2 exact\n0 0\n1 x\n", "2 2 exact\n0 0\n1/2/3 1\n", "2 2 exact\n0 0\n3/-4 1\n",
+            "2 2 exact\n0 0\n/2 1\n", "2 2 exact\n0 0\ninf 1\n", "2 2 float\n0 0\n1.2.3 1\n",
+            "2 2 float\n0 0\n1/2 1\n", "2 2 exact\n0 0\n1__0 1\n", "2 2 exact\n0 0\n3/6e1 1\n",
+            # zero denominator
+            "2 2 exact\n0 0\n1/0 1\n", "2 2 exact\n0 0\n0/0 1\n", "2 2 exact\n0 0\n5/00 1\n",
+            # count
+            "2 3 exact\n0 0\n1 1\n", "2 1 exact\n0 0\n1 1\n", "2 -1 float\n", "2 3 exact\n0 0\n1 x\n",
+            # empty set
+            "2 0 exact\n", "2 0 float\n\n \t\n", "0 0 exact\n",
+            # dimension below 2
+            "1 2 exact\n0\n1\n", "1 2 float\n0.5\n1.5\n",
+            # duplicates, exact and at the float resolution
+            "2 2 exact\n1/2 0\n2/4 -0\n", "2 2 float\n0.1 0.2\n0.1 0.2\n", "2 2 float\n0 1\n1e-13 1\n",
+            # non-finite floats
+            "2 2 float\n0 0\nnan 1\n", "2 2 float\n0 0\n1 inf\n", "2 2 float\n0 0\n1e400 1\n",
+            "2 2 float\n0 0\n1e151 1\n",
+            # a lone carriage return ends a line; a form feed does not
+            "2 2 exact\r0 0\r1 x\r", "2 2 exact\r\n0 0\r\n\r\n1 1 1\r\n", "2 2 exact\n0 0\x0c\n1 x\n",
+        ],
+    )
+    def test_malformed_files_fail_alike(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert assert_reads_alike(path) is None
+
+    @pytest.mark.parametrize("text", [
+        "3 2 exact\n1/3 -2/7 0\n22/7 5 1e3\n",
+        "2 2 exact\n%d/3 1\n0 0\n" % (1 << 70),
+        "2 2 exact\n%d/%d 1\n0 1/%d\n" % (6 * WIDE, 8 * WIDE, WIDE),
+        "2 3 float\n1e3 +.5\n1_0 -0.0\n\t0.1\t0.2 \n",
+        "2 2 float\n0\x1c0\x0c\n1\x0b1\n",  # separators str.split knows
+    ])
+    def test_fixed_files_read_alike(self, tmp_path, text):
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert assert_reads_alike(path) is not None
+
+
+def reference_distinct_words(words):
+    """The distinct word tuples by one full lexsort and an adjacent compare."""
+    if not len(words[0]):
+        return [w[:0] for w in words]
+    order = np.lexsort(words[::-1])
+    words = [w[order] for w in words]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.any([w[1:] != w[:-1] for w in words], axis=0)
+    return [w[keep] for w in words]
+
+
+WORD_VALUES = {
+    "int64": st.sampled_from([-(1 << 63), -(1 << 62), -7, -1, 0, 1, 2, 3, 1 << 40, (1 << 63) - 1]),
+    "object": st.sampled_from([-(1 << 80), -(1 << 63), -1, 0, 1, 2, 1 << 63, 1 << 80]),
+    "float": st.sampled_from([-1e300, -2.5, -0.0, 0.0, 1e-300, 1.0, 3.0, 1e300]),
+}
+
+
+class TestDistinctWordsAgainstReference:
+    """_distinct_words (sort on the first word, lexsort of its ties) against one full lexsort."""
+
+    @given(kind=st.sampled_from(sorted(WORD_VALUES)), k=st.integers(1, 3), n=st.integers(0, 60), data=st.data())
+    def test_matches_full_lexsort(self, kind, k, n, data):
+        dtype = {"int64": np.int64, "object": object, "float": np.float64}[kind]
+        words = [np.array(data.draw(st.lists(WORD_VALUES[kind], min_size=n, max_size=n)), dtype=dtype)
+                 for _ in range(k)]
+        got = geometry._distinct_words(words)
+        want = reference_distinct_words(words)
+        assert len(got) == k
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()  # -0.0 == 0.0 either way
+
+    def test_many_ties_in_the_first_word(self):
+        rng = np.random.default_rng(7)
+        words = [rng.integers(0, 3, 5000), rng.integers(-50, 50, 5000), rng.integers(0, 2, 5000)]
+        for g, w in zip(geometry._distinct_words(words), reference_distinct_words(words)):
+            assert g.tolist() == w.tolist()
+
+
+float_coords = st.sampled_from([0.0, -0.0, 1.0, 1e-13, -4e-13, 2.5e-12, 3.5e-12, 0.5, 1.0 + 1e-13])
+
+
+class TestFloatDuplicatesAgainstReference:
+    """The float duplicate check counts distinct rounded keys as np.unique(axis=0) does."""
+
+    @given(d=st.integers(2, 3), data=st.data())
+    def test_counts_as_axis_unique(self, d, data):
+        rows = np.array(data.draw(st.lists(st.lists(float_coords, min_size=d, max_size=d), min_size=1, max_size=30)))
+        keys = np.round(rows / geometry.DUPLICATE_RESOLUTION)
+        distinct = len(np.unique(keys, axis=0))
+        assert len(geometry._distinct_words(list(keys.T))[0]) == distinct
+        if distinct < len(rows):
+            with pytest.raises(PreconditionFailed, match="duplicate point"):
+                PointSet._from_scaled(rows, 1.0)
+        else:
+            assert len(PointSet._from_scaled(rows, 1.0)) == len(rows)
+
+
+class TestTakeAgainstReference:
+    """PointSet._take (the split's pieces) equals _from_scaled on the same rows."""
+
+    @given(mode=st.sampled_from(["int64", "object", "float"]), data=st.data())
+    def test_matches_from_scaled(self, mode, data):
+        if mode == "float":
+            values = st.floats(-4, 4, allow_nan=False)
+        else:  # one far denominator puts object rows back into int64 once it is left out
+            values = st.sampled_from([Fraction(k, 6) for k in range(-6, 7)] + [Fraction(1, WIDE)] * (mode == "object"))
+        rows = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=12,
+                                  unique_by=lambda r: tuple(round(float(v) * 1e9) for v in r)))
+        P = PointSet.from_points(rows, mode="float" if mode == "float" else "exact")
+        sel = np.array(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
+        assert_same_set(P._take(sel), PointSet._from_scaled(P._scaled_rows()[0][sel], P._scaled_rows()[1]))
 
 
 def assert_same_blocks(got, want):
