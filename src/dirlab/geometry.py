@@ -502,14 +502,14 @@ def _distinct_words(words: list) -> list:
     if len(words) == 1:
         return [_sorted_unique(words[0])]
     order = np.argsort(words[0])
-    tie = np.zeros(len(order) + 1, dtype=bool)
     first = words[0][order]
+    tie = np.zeros(len(order) + 1, dtype=bool)
     np.equal(first[1:], first[:-1], out=tie[1:-1])
     run = np.flatnonzero(tie[1:] | tie[:-1])
     if len(run):
         rows = order[run]
         order[run] = rows[np.lexsort([w[rows] for w in words[::-1]])]
-    words = [w[order] for w in words]
+    words = [first] + [w[order] for w in words[1:]]  # reordering runs leaves the first word sorted
     keep = np.ones(len(order), dtype=bool)
     keep[1:] = np.any([w[1:] != w[:-1] for w in words], axis=0)
     return [w[keep] for w in words]
@@ -687,6 +687,9 @@ def collinearity_rank(ps: PointSet) -> int:
 
 # exact tokens "[+-]digits/digits" with a nonzero denominator, joined by spaces
 _RATIONALS = re.compile(r"[+-]?[0-9]+/0*[1-9][0-9]*(?: [+-]?[0-9]+/0*[1-9][0-9]*)*")
+# The reader takes lines about this many bytes at a time, so the token
+# strings held at once stay few whatever the size of the file.
+_READ_BYTES = 1 << 16
 
 
 def write_point_set(ps: PointSet, target) -> None:
@@ -704,12 +707,13 @@ def write_point_set(ps: PointSet, target) -> None:
 def read_point_set(path) -> PointSet:
     """The point set in the file at path, in the format above.
 
-    One pass turns the lines into the stored (rows, denominator) for
-    _from_scaled: float tokens by one float64 conversion, exact tokens of
-    the form [+-]digits(/digits) by int() and each reduced to lowest terms
-    (any other token by Fraction), over the lcm of their denominators.
-    Exact sets build their ``points`` view on first use.  Only when that
-    pass fails does a line-by-line loop run, to report the first bad line.
+    One pass turns the lines, block by block, into the stored (rows,
+    denominator) for _from_scaled: float tokens by one float64 conversion
+    per block, exact tokens of the form [+-]digits(/digits) by int() and
+    each reduced to lowest terms (any other token by Fraction), then over
+    the lcm of their denominators.  Exact sets build their ``points`` view
+    on first use.  Only when that pass fails does a line-by-line loop read
+    the file again, to report the first bad line.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -723,54 +727,57 @@ def read_point_set(path) -> PointSet:
             mode = header[2]
             if mode not in ("exact", "float"):
                 raise FormatError(f"unknown mode {mode!r}")
-            lines = fh.read().split("\n")
+            blocks, found = [], 0
+            for lines in iter(lambda: fh.readlines(_READ_BYTES), []):
+                rows = list(filter(None, map(str.split, lines)))  # the tokens of each non-blank line
+                if set(map(len, rows)) - {dimension}:
+                    raise ValueError("a line with the wrong number of coordinates")
+                if rows:
+                    blocks.append(_parse_tokens(list(itertools.chain.from_iterable(rows)), mode))
+                    found += len(rows)
     except UnicodeDecodeError as exc:
         raise FormatError(f"a point file is ASCII text, not byte {exc.object[exc.start]:#04x}") from exc
-    rows = list(filter(None, map(str.split, lines)))  # the tokens of each non-blank line
-    if set(map(len, rows)) - {dimension}:
-        _raise_first_bad_line(lines, dimension, mode)
-    try:
-        scaled = _parse_rows(rows, dimension, mode) if rows else None
     except (ValueError, ZeroDivisionError):
-        _raise_first_bad_line(lines, dimension, mode)
+        _raise_first_bad_line(path, dimension, mode)
         raise
-    if len(rows) != count:
-        raise FormatError(f"expected {count} points, found {len(rows)}")
-    if not rows:
+    if found != count:
+        raise FormatError(f"expected {count} points, found {found}")
+    if not found:
         raise PreconditionFailed("a point set needs at least one point")
     if dimension < 2:
         raise PreconditionFailed("ambient dimension must be at least 2")
-    return PointSet._from_scaled(*scaled)
-
-
-def _parse_rows(rows: list, dimension: int, mode: str) -> tuple[np.ndarray, int | float]:
-    """The token rows as (rows, denominator) for PointSet._from_scaled."""
-    tokens = list(itertools.chain.from_iterable(rows))
     if mode == "float":
-        return np.array(tokens, dtype=np.float64).reshape(len(rows), dimension), 1.0
-    joined = " ".join(tokens)
-    if joined.count("/") != len(tokens):  # some token is an integer, or no fast form
-        joined = " ".join(t if "/" in t else t + "/1" for t in tokens)
-    if _RATIONALS.fullmatch(joined):
-        ints = list(map(int, joined.replace("/", " ").split()))
-        nums, dens = ints[0::2], ints[1::2]
-        gcds = list(map(math.gcd, nums, dens))
-        nums, dens = list(map(operator.floordiv, nums, gcds)), list(map(operator.floordiv, dens, gcds))
-    else:
-        nums, dens = zip(*(Fraction(t).as_integer_ratio() for t in tokens))
+        return PointSet._from_scaled(np.concatenate(blocks).reshape(found, dimension), 1.0)
+    nums, dens = (list(itertools.chain.from_iterable(terms)) for terms in zip(*blocks))
     flat, denom = _over_lcm(nums, dens)
-    return flat.reshape(len(rows), dimension), denom
+    return PointSet._from_scaled(flat.reshape(found, dimension), denom)
 
 
-def _raise_first_bad_line(lines: list, dimension: int, mode: str) -> None:
-    """Raise FormatError for the first line, from line 2, with a wrong
+def _parse_tokens(tokens: list, mode: str):
+    """Float tokens as a float64 array; exact tokens as lists of numerators
+    and denominators, each pair in lowest terms."""
+    if mode == "float":
+        return np.array(tokens, dtype=np.float64)
+    joined = " ".join(t if "/" in t else t + "/1" for t in tokens)
+    if not _RATIONALS.fullmatch(joined):
+        return tuple(map(list, zip(*(Fraction(t).as_integer_ratio() for t in tokens))))
+    ints = list(map(int, joined.replace("/", " ").split()))
+    nums, dens = ints[0::2], ints[1::2]
+    gcds = list(map(math.gcd, nums, dens))
+    return list(map(operator.floordiv, nums, gcds)), list(map(operator.floordiv, dens, gcds))
+
+
+def _raise_first_bad_line(path, dimension: int, mode: str) -> None:
+    """Raise FormatError for the first line after the header with a wrong
     number of tokens or a token that Fraction (exact) or float does not read."""
     parse = Fraction if mode == "exact" else float
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if tokens and len(tokens) != dimension:
-            raise FormatError(f"line {lineno}: expected {dimension} coordinates")
-        try:
-            list(map(parse, tokens))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"line {lineno}: bad token") from exc
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            tokens = line.split()
+            if tokens and len(tokens) != dimension:
+                raise FormatError(f"line {lineno}: expected {dimension} coordinates")
+            try:
+                list(map(parse, tokens))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"line {lineno}: bad token") from exc

@@ -563,35 +563,46 @@ def assert_same_set(got, want):
     assert got.points == want.points
 
 
-def assert_reads_alike(path):
-    """The library reader and the line-by-line reference give equal sets, or
-    raise the same exception type with the same message."""
-    try:
-        want = reference_io.read_point_set(path)
-    except Exception as exc:  # noqa: BLE001 - any failure must be reproduced
-        with pytest.raises(type(exc)) as got:
-            read_point_set(path)
-        assert type(got.value) is type(exc) and str(got.value) == str(exc)
-        return None
-    got = read_point_set(path)
+def assert_reads_alike(path, block=None):
+    """The library reader, taking about block bytes of lines at a time, and
+    the line-by-line reference give equal sets, or raise the same exception
+    type with the same message."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(geometry, "_READ_BYTES", block)
+        try:
+            want = reference_io.read_point_set(path)
+        except Exception as exc:  # noqa: BLE001 - any failure must be reproduced
+            with pytest.raises(type(exc)) as got:
+                read_point_set(path)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return None
+        got = read_point_set(path)
     assert_same_set(got, want)
     return got
+
+
+# bytes of lines the reader takes at a time: one line, a few lines, the default
+read_blocks = st.sampled_from([1, 40, None])
 
 
 class TestReaderAgainstReference:
     """read_point_set against the line-by-line Fraction reader it replaced."""
 
-    @given(text=point_files())
-    def test_well_formed_files_read_alike(self, tmp_path_factory, text):
+    @given(text=point_files(), block=read_blocks)
+    def test_well_formed_files_read_alike(self, tmp_path_factory, text, block):
         path = tmp_path_factory.mktemp("files") / "pts.txt"
         path.write_bytes(text.encode("ascii"))
-        got = read_point_set(path)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(geometry, "_READ_BYTES", block)
+            got = read_point_set(path)
         if got.mode == "exact":
             assert got._points is None  # built on first use, from the rows
         assert_same_set(got, reference_io.read_point_set(path))
 
-    @given(text=point_files(), data=st.data())
-    def test_corrupted_files_fail_alike(self, tmp_path_factory, text, data):
+    @given(text=point_files(), block=read_blocks, data=st.data())
+    def test_corrupted_files_fail_alike(self, tmp_path_factory, text, block, data):
         lines = text.split("\n")
         at = data.draw(st.integers(1, len(lines) - 1))
         how = data.draw(st.sampled_from(["drop", "add", "token", "zero", "nan", "count", "dup"]))
@@ -615,7 +626,7 @@ class TestReaderAgainstReference:
             lines[0] = " ".join([head[0], str(int(head[1]) + 1), head[2]])
         path = tmp_path_factory.mktemp("files") / "bad.txt"
         path.write_bytes("\n".join(lines).encode("ascii"))
-        assert_reads_alike(path)
+        assert_reads_alike(path, block)
 
     @pytest.mark.parametrize(
         "text",
@@ -650,6 +661,7 @@ class TestReaderAgainstReference:
         path = tmp_path / "bad.txt"
         path.write_bytes(text.encode("ascii"))
         assert assert_reads_alike(path) is None
+        assert assert_reads_alike(path, 1) is None
 
     @pytest.mark.parametrize("text", [
         "3 2 exact\n1/3 -2/7 0\n22/7 5 1e3\n",
@@ -662,6 +674,28 @@ class TestReaderAgainstReference:
         path = tmp_path / "pts.txt"
         path.write_bytes(text.encode("ascii"))
         assert assert_reads_alike(path) is not None
+
+    def test_exact_tokens_reduce_before_the_lcm(self):
+        # reduced first, "k*WIDE/(j*WIDE)" tokens keep the lcm of the denominators small
+        tokens = ["6/8", "-3/6", "+4", "0/5", f"{3 * WIDE}/{6 * WIDE}"]
+        want = [[3, -1, 4, 0, 1], [4, 2, 1, 1, 2]]
+        assert [list(t) for t in geometry._parse_tokens(tokens, "exact")] == want
+        # one token outside the fast form sends the block through Fraction, with the same terms
+        terms = geometry._parse_tokens(tokens + ["0.75"], "exact")
+        assert [list(t) for t in terms] == [want[0] + [3], want[1] + [4]]
+
+    @pytest.mark.parametrize("mode, token", [("exact", "1/3"), ("float", "0.25")])
+    def test_files_past_one_block(self, tmp_path, mode, token):
+        # 3,000 points, then a stretch of blank lines longer than a block
+        rows = [f"{i} {token}" for i in range(3000)]
+        text = "\n".join([f"2 3001 {mode}"] + rows + [" "] * 70_000 + [f"-1 {token}"]) + "\n"
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text.encode("ascii"))
+        assert len(assert_reads_alike(path)) == 3001
+        path.write_bytes(text.replace("2999 ", "2999 x ").encode("ascii"))
+        with pytest.raises(FormatError, match="line 3001: expected 2"):
+            read_point_set(path)
+        assert assert_reads_alike(path) is None
 
 
 def reference_distinct_words(words):
