@@ -115,6 +115,8 @@ class LatticeSpec:
 
 def lattice_set(spec: LatticeSpec) -> PointSet:
     """All (q+1)^d rational grid points i/q, lexicographically ordered."""
+    if (spec.q + 1) ** spec.d > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"{spec.q + 1}^{spec.d} exceeds the {DEFAULT_POINT_CAP} point cap")
     grid = np.indices((spec.q + 1,) * spec.d).reshape(spec.d, -1).T
     return PointSet._from_scaled(grid, spec.q)
 

@@ -13,7 +13,6 @@ import math
 import operator
 import os
 import re
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -257,7 +256,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Blocks claimed by a worker and not yet yielded, at most; so the blocks in
+# Blocks submitted to the pool and not yet yielded, at most; so the blocks in
 # flight never hold more than _IN_FLIGHT * _PAIR_BLOCK = 300,000 pairs.
 _IN_FLIGHT = 4
 # Threads that fill pair blocks: one per CPU, at most _IN_FLIGHT.
@@ -269,10 +268,10 @@ class _Blocks:
     blocks hold ``pairs`` pairs in all.
 
     Iterating yields the blocks in order.  Past _PAIR_BLOCK pairs, with more
-    than one worker, _WORKERS threads fill them, the caller among them
-    (_ordered_map); otherwise the caller fills them one by one and no thread
-    starts.  The partition never depends on the worker count, so neither do
-    the blocks.
+    than one worker, the caller and a pool of _WORKERS - 1 helper threads
+    fill them (_ordered_map); otherwise the caller fills them one by one and
+    no thread starts.  The partition never depends on the worker count, so
+    neither do the blocks.
     """
 
     def __init__(self, fill, specs, pairs: int):
@@ -296,72 +295,41 @@ def _block_map(fn, blocks):
 
 
 def _ordered_map(fill, specs, workers: int):
-    """fill(spec) for each spec, yielded in order, on the caller and
+    """fill(spec) for each spec, yielded in order, on the caller and a pool of
     workers - 1 helper threads.
 
-    Each thread claims the next unclaimed spec and fills it itself; a spec
-    is claimed only while fewer than _IN_FLIGHT blocks are claimed and not
-    yet yielded, so at most _IN_FLIGHT blocks are in flight.  An exception from
-    fill reaches the caller, unchanged, when its block's turn comes; the
-    helpers finish the blocks they hold and stop before it propagates.
+    At most _IN_FLIGHT blocks are submitted to the pool and not yet yielded.
+    While the next block is not done, the caller cancels the first submitted
+    block no helper has started and fills it itself; when none is left, it
+    waits.  An exception from fill reaches the caller, unchanged, when its
+    block's turn comes; the helpers finish the blocks they hold and stop
+    before it propagates, as they do when the map is abandoned.
     """
-    cond = threading.Condition()
-    done = {}  # position -> (raised, value)
-    claimed = yielded = 0
-    closed = False
+    # imported here: only maps past one block start a thread
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    def claim():
-        # the next position to fill, or None; called with cond held
-        nonlocal claimed
-        if closed or claimed == len(specs) or claimed - yielded >= _IN_FLIGHT:
-            return None
-        claimed += 1
-        return claimed - 1
-
-    def run(pos):
+    def fill_here(spec):
+        done = Future()
         try:
-            result = (False, fill(specs[pos]))
-        except BaseException as exc:  # re-raised by the caller in block order
-            result = (True, exc)
-        with cond:
-            done[pos] = result
-            cond.notify_all()
+            done.set_result(fill(spec))
+        except BaseException as exc:  # re-raised in block order, like a helper's
+            done.set_exception(exc)
+        return done
 
-    def helper():
-        while True:
-            with cond:
-                while (pos := claim()) is None:
-                    if closed or claimed == len(specs):
-                        return
-                    cond.wait()
-            run(pos)
-
-    threads = [threading.Thread(target=helper, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="dirlab-pairs")
+    pending = []  # futures of blocks pos, pos + 1, ...
     try:
-        for want in range(len(specs)):
-            while True:
-                with cond:
-                    if want in done:
-                        raised, value = done.pop(want)
-                        yielded += 1
-                        cond.notify_all()
-                        break
-                    pos = claim()
-                    if pos is None:
-                        cond.wait()
-                        continue
-                run(pos)
-            if raised:
-                raise value
-            yield value
+        for pos in range(len(specs)):
+            for spec in specs[pos + len(pending):pos + _IN_FLIGHT]:
+                pending.append(pool.submit(fill, spec))
+            while not pending[0].done():
+                i = next((i for i, future in enumerate(pending) if future.cancel()), None)
+                if i is None:
+                    break
+                pending[i] = fill_here(specs[pos + i])
+            yield pending.pop(0).result()
     finally:
-        with cond:
-            closed = True
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _product_axes(arr: np.ndarray) -> list | None:

@@ -49,6 +49,11 @@ class TestGenerate:
         assert code == 0
         assert out.encode("ascii") == target.read_bytes()
 
+    def test_lattice_past_point_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "lattice", "--q", "100000", "--d", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "point cap" in err and "Traceback" not in err
+
     def test_garnett_depth_two(self, tmp_path, capsys):
         target = tmp_path / "garnett.txt"
         code, *_ = run_cli(

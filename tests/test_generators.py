@@ -55,6 +55,12 @@ class TestLatticeSet:
         assert ps.mode == "exact"
         assert in_unit_cube(ps)
 
+    @pytest.mark.parametrize("q, d", [(1000, 2), (100000, 3)])
+    def test_point_cap(self, q, d):
+        # refused before any grid is built: 100001^3 rows would not fit in memory
+        with pytest.raises(SizeLimit, match=f"{q + 1}\\^{d} exceeds the {DEFAULT_POINT_CAP} point cap"):
+            lattice_set(LatticeSpec(q=q, d=d))
+
     def test_invalid_spec(self):
         with pytest.raises(PreconditionFailed):
             LatticeSpec(q=0, d=2)

@@ -9,8 +9,11 @@ window masses by bytes.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +194,12 @@ class TestWorkersInline:
         _, started = at_workers(1, self.run_kernels, float_set(np.random.default_rng(7), 80, 3))
         assert started == 0
 
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures is imported only when a map starts threads
+        code = "import sys, dirlab; assert 'concurrent.futures' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
 
 class TestOrderedMapStress:
     """More workers than cores and a short switch interval: every block is
@@ -226,9 +235,43 @@ class TestOrderedMapStress:
         assert out == list(range(600)) and sorted(filled) == list(range(600))
         assert peak[0] <= geometry._IN_FLIGHT and not helpers_alive()
 
+    def test_submitted_blocks_stay_within_in_flight(self):
+        # blocks of uneven length: the caller and helpers run ahead of the
+        # consumer only over submitted blocks
+        got, ahead = [], []
+
+        def fill(spec):
+            ahead.append(spec - len(got))
+            time.sleep(spec % 3 * 0.001)
+            return spec
+
+        for value in geometry._ordered_map(fill, range(200), 4):
+            got.append(value)
+        assert got == list(range(200)) and max(ahead) < geometry._IN_FLIGHT
+
+    def test_caller_and_helper_both_fill(self):
+        # the caller takes over blocks no helper has started, rather than
+        # only waiting; helpers_alive() sees the helper that fills a block
+        fillers, seen = set(), []
+
+        def work(spec):
+            return float(np.sort(np.random.default_rng(spec).random(20_000))[spec])
+
+        def fill(spec):
+            me = threading.current_thread()
+            fillers.add(me)
+            if me is not threading.main_thread():
+                seen.append(me in helpers_alive())
+            return work(spec)
+
+        out = list(geometry._ordered_map(fill, range(120), 2))
+        assert out == [work(spec) for spec in range(120)]
+        assert threading.main_thread() in fillers and len(fillers) == 2
+        assert seen and all(seen) and not helpers_alive()
+
 
 def helpers_alive():
-    return [t for t in threading.enumerate() if t.name.endswith("(helper)")]
+    return [t for t in threading.enumerate() if t.name.startswith("dirlab-pairs")]
 
 
 class TestWorkerFailures:
