@@ -333,8 +333,8 @@ def sphere_coverage_sweep(
         if isinstance(acc, Counter):
             cells = dict(acc)
         else:
-            nz = np.nonzero(acc)[0]
-            cells = {int(c): int(acc[c]) for c in nz}
+            nz = np.flatnonzero(acc)
+            cells = dict(zip(nz.tolist(), acc[nz].tolist()))
         grids.append(
             CoverageGrid(
                 dimension=d,
@@ -399,14 +399,17 @@ class _Slabs:
         blocked[lo:hi] |= np.linalg.norm(self.units[lo:hi] - self.units[r], axis=1) < self.delta
 
 
-def _greedy(slabs: _Slabs, kept: list, candidates: list) -> list:
+def _greedy(slabs: _Slabs, kept: list, candidates: list, blocked: np.ndarray | None = None) -> list:
     """kept, then each candidate in order whose unit lies at least delta
     from every unit kept so far.  Each kept unit blocks its slab once, so a
-    candidate costs one flag lookup."""
+    candidate costs one flag lookup.  blocked, when given, holds the flags
+    kept's units left in an earlier pass and is updated in place; without
+    it the kept units block their slabs first."""
     rank = slabs.rank
-    blocked = np.zeros(len(rank), dtype=bool)
-    for pos in kept:
-        slabs.block(rank[pos], blocked)
+    if blocked is None:
+        blocked = np.zeros(len(rank), dtype=bool)
+        for pos in kept:
+            slabs.block(rank[pos], blocked)
     chosen = list(kept)
     for pos in candidates:
         r = rank[pos]
@@ -424,8 +427,9 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     occupied cell keeps its first key and takes one of 2^(d-1) parity
     colors.  One greedy keeps each color class in cell order; the largest
     class then grows by the remaining keys, in order, that respect the
-    separation.  If it falls below occupied/2^(d-1) the grid is coarsened
-    and retried, so the reported occupied count always matches the pitch.
+    separation, from the blocked flags its own pass left.  If it falls
+    below occupied/2^(d-1) the grid is coarsened and retried, so the
+    reported occupied count always matches the pitch.
     Every pass and retry shares one _Slabs index of the units.  Keys held
     as a plain set (not a DirectionKeys) are taken as rows in rep order.
     """
@@ -452,14 +456,16 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
         sigma = (idx[first] % 2) @ (1 << np.arange(d - 2, -1, -1))
         best: list[int] = []
         for s in np.unique(sigma):
-            kept = _greedy(slabs, [], first[sigma == s].tolist())
+            flags = np.zeros(len(keys), dtype=bool)
+            kept = _greedy(slabs, [], first[sigma == s].tolist(), flags)
             if len(kept) > len(best):
-                best = kept
+                best, best_flags = kept, flags
 
         if len(best) >= math.ceil(occupied / n_classes):
-            rest = np.setdiff1d(np.arange(len(keys)), best).tolist()
+            rest = np.ones(len(keys), dtype=bool)
+            rest[best] = False
             return SeparatedSubset(
-                keys=keys.keys_at(_greedy(slabs, best, rest)),
+                keys=keys.keys_at(_greedy(slabs, best, np.flatnonzero(rest).tolist(), best_flags)),
                 delta=delta,
                 pitch=pitch,
                 occupied_cells=occupied,

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DepthExhausted, NotSeparated, PreconditionFailed
+from .directions import DENSE_CELL_LIMIT
+from .errors import DepthExhausted, DirlabError, NotSeparated, PreconditionFailed, SizeLimit
 from .fitting import FitResult, fit_power_law
 from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _group_sums
 from .geometry import _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes
@@ -523,14 +524,16 @@ def _interval_counts(values, prefix, lo, hi):
 _EINSUM = {1: "a,aj->j", 2: "a,aj,ak->jk", 3: "a,aj,ak,al->jkl"}
 
 
-def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray | None:
-    """Pair mass per window cell for uniform masses on product supports; None
-    for any other pair of measures.
+def _window_masses_product(mu1, mu2, windows) -> list | None:
+    """Pair mass per window cell, one array per window (lo, hi), for uniform
+    masses on product supports; None for any other pair of measures.
 
     On a product support a pair count factors over axes into per-axis
     value-pair counts, so histograms run on the distinct axis values, never
-    the full columns.  The work is bounded by the distinct last-axis cross
-    differences, which never outnumber the pairs."""
+    the full columns.  The axes, the last-axis denominator histogram and the
+    per-axis pair tables are built once for every window.  The work per
+    window is bounded by the distinct last-axis cross differences, which
+    never outnumber the pairs."""
     if not (mu1.uniform and mu2.uniform):
         return None
     axes1, axes2 = (_product_axes(mu.base.as_array()) for mu in (mu1, mu2))
@@ -540,39 +543,41 @@ def _window_mass_product(mu1, mu2, lo, hi) -> np.ndarray | None:
     w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
     den_vals, den_counts = _cross_diff_histogram(axes1[-1], axes2[-1])
     tables = [_axis_pair_table(axes1[i], axes2[i]) for i in range(d - 1)]
-    g = len(lo)
-    total = np.zeros((g,) * (d - 1), dtype=np.float64)
     spec = _EINSUM[d - 1]
-    # each denominator expands into g windows per axis; this path runs one
-    # chunk at a time, so a chunk may take the pairs the mapped kernels keep in flight
-    chunk = max(1, _IN_FLIGHT * _PAIR_BLOCK // g)
-    for a0 in range(0, len(den_vals), chunk):
-        a = den_vals[a0 : a0 + chunk]
-        cnt = den_counts[a0 : a0 + chunk].astype(np.float64)
-        lo_eff, hi_eff = _scaled_window(a, lo, hi)
-        factors = [
-            _interval_counts(values, prefix, lo_eff, hi_eff).astype(np.float64)
-            for values, prefix in tables
-        ]
-        total += np.einsum(spec, cnt, *factors)
-    return total * w
+    masses = []
+    for lo, hi in windows:
+        g = len(lo)
+        total = np.zeros((g,) * (d - 1), dtype=np.float64)
+        # each denominator expands into g windows per axis; this path runs one
+        # chunk at a time, so a chunk may take the pairs the mapped kernels keep in flight
+        chunk = max(1, _IN_FLIGHT * _PAIR_BLOCK // g)
+        for a0 in range(0, len(den_vals), chunk):
+            a = den_vals[a0 : a0 + chunk]
+            cnt = den_counts[a0 : a0 + chunk].astype(np.float64)
+            lo_eff, hi_eff = _scaled_window(a, lo, hi)
+            factors = [
+                _interval_counts(values, prefix, lo_eff, hi_eff).astype(np.float64)
+                for values, prefix in tables
+            ]
+            total += np.einsum(spec, cnt, *factors)
+        masses.append(total * w)
+    return masses
 
 
-def _edge_counts(a, x, edges, side):
+def _edge_counts(a, x, t, edges, side):
     """Per row, how many of the nondecreasing edges e have a*e <= x (side
-    "right") or a*e < x (side "left"), for a >= 0.
+    "right") or a*e < x (side "left"), for a >= 0 and the slope t = x / a.
 
     Since a*e is monotone in e, those edges are a prefix.  Its length k is
-    estimated from t = x / a as if the edges were evenly spaced, and stands
-    when the multiply-through test holds at the edges on either side of it,
+    estimated from t as if the edges were evenly spaced, and stands when
+    the multiply-through test holds at the edges on either side of it,
     which proves it by monotonicity.  The rows where it fails (slopes within
     rounding of an edge) are counted by that test over every edge."""
     counted = np.less_equal if side == "right" else np.less
     g, spread = len(edges), edges[-1] - edges[0]
     padded = np.concatenate([[-np.inf], edges, [np.inf]])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = np.divide(x, a)
-        u -= edges[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.subtract(t, edges[0])
         u *= (g - 1) / spread if spread > 0 else 1.0
         if side == "right":
             np.floor(u, out=u)
@@ -615,55 +620,69 @@ def _add_boxes(total, flat, lengths, weights, g):
         _add_boxes(total, flat + offset * stride if offset else flat, rest, weights, g)
 
 
-def _window_mass_scan(mu1, mu2, lo, hi) -> np.ndarray:
-    """Pair mass per window cell over the cross pairs y - x of the shared pair
-    loop, x in mu1 and y in mu2, by range accumulation; lo and hi are
-    nondecreasing.  The window test is symmetric under the swap, so the
-    window semantics are those of the product path.
+def _window_masses_scan(mu1, mu2, windows) -> list:
+    """Pair mass per window cell, one array per window (lo, hi), over the
+    cross pairs y - x of one shared pair loop, x in mu1 and y in mu2, by
+    range accumulation; each lo and hi is nondecreasing.  The window test is
+    symmetric under the swap, so the window semantics are those of the
+    product path.
 
     Rows whose denominator a = diffs[:, -1] is negative are negated, in
     place in the loop's fresh block: negation is exact, so the closed test
-    a*lo <= x <= a*hi keeps its bits.  The windows holding the slope x / a
-    on one axis are then a run first <= j < stop, first counting the windows
-    with a*hi_j < x and stop those with a*lo_j <= x (_edge_counts), and the
-    pair adds its mass to every cell of its box of runs.  Membership is that
-    of the multiply-through test against every window; only the summation
-    order differs: each block adds its pairs into a mass array of its own,
-    and the blocks' arrays are added in block order.  Blocks hold half
-    _PAIR_BLOCK pairs, which keeps their index and bound temporaries below
-    those of the test against every window."""
+    a*lo <= x <= a*hi keeps its bits.  Each block then takes the slope
+    x / a once per axis for every window.  The windows holding the slope on
+    one axis are a run first <= j < stop, first counting the windows with
+    a*hi_j < x and stop those with a*lo_j <= x (_edge_counts), and the pair
+    adds its mass to every cell of its box of runs.  Membership is that of
+    the multiply-through test against every window; only the summation
+    order differs: each block adds its pairs into a mass array of its own
+    per window, and each window adds its blocks' arrays in block order, so
+    a window's masses do not depend on the other windows planned with it.
+    Blocks hold half _PAIR_BLOCK pairs, which keeps their index and bound
+    temporaries below those of the test against every window."""
     d = mu1.base.dimension
-    g = len(lo)
+    grids = [len(lo) for lo, _ in windows]
 
-    def block_mass(block):
+    def block_masses(block):
         diffs, wp = block
         np.negative(diffs, out=diffs, where=diffs[:, -1:] < 0)
         a = diffs[:, -1]
-        flat, lengths = None, []
-        for i in range(d - 1):
-            first = _edge_counts(a, diffs[:, i], hi, "left")
-            stop = _edge_counts(a, diffs[:, i], lo, "right")
-            stop -= first
-            flat = first if flat is None else flat * g + first
-            lengths.append(stop)
-        mass = np.zeros(g ** (d - 1), dtype=np.float64)
-        _add_boxes(mass, flat, lengths, wp, g)
-        return mass
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slopes = [np.divide(diffs[:, i], a) for i in range(d - 1)]
+        masses = []
+        for (lo, hi), g in zip(windows, grids):
+            flat, lengths = None, []
+            for i, t in enumerate(slopes):
+                first = _edge_counts(a, diffs[:, i], t, hi, "left")
+                stop = _edge_counts(a, diffs[:, i], t, lo, "right")
+                stop -= first
+                flat = first if flat is None else flat * g + first
+                lengths.append(stop)
+            mass = np.zeros(g ** (d - 1), dtype=np.float64)
+            _add_boxes(mass, flat, lengths, wp, g)
+            masses.append(mass)
+        return masses
 
     blocks = _pair_loop(mu1.base.as_array(), mu1.mass_array(), mu2.base.as_array(), mu2.mass_array(),
                         block=_PAIR_BLOCK // 2)
-    total = sum(_block_map(block_mass, blocks), np.zeros(g ** (d - 1), dtype=np.float64))
-    return total.reshape((g,) * (d - 1))
+    totals = [np.zeros(g ** (d - 1), dtype=np.float64) for g in grids]
+    for masses in _block_map(block_masses, blocks):
+        for total, mass in zip(totals, masses):
+            total += mass
+    return [total.reshape((g,) * (d - 1)) for total, g in zip(totals, grids)]
 
 
-def _window_mass(mu1, mu2, lo, hi) -> np.ndarray:
-    if mu1.base.dimension - 1 not in _EINSUM:
-        raise PreconditionFailed("slope densities support dimensions 2 through 4")
-    mass = _window_mass_product(mu1, mu2, lo, hi)
-    return _window_mass_scan(mu1, mu2, lo, hi) if mass is None else mass
+def _window_masses(mu1, mu2, windows) -> list:
+    """Pair mass per window cell for each window (lo, hi), by one plan: the
+    product path when it applies, else the scan.  A window's masses are
+    those it gets planned alone."""
+    masses = _window_masses_product(mu1, mu2, windows)
+    return _window_masses_scan(mu1, mu2, windows) if masses is None else masses
 
 
 def _check_slope_inputs(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
+    """The least gap between the two supports' final coordinates, refused
+    unless positive, for measures of one dimension from 2 through 4."""
     if mu1.base.dimension != mu2.base.dimension:
         raise PreconditionFailed("both measures must share one dimension")
     gap = _min_cross_gap(mu1.base.as_array()[:, -1], mu2.base.as_array()[:, -1])
@@ -671,7 +690,40 @@ def _check_slope_inputs(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
         raise PreconditionFailed(
             "supports share a final coordinate; relabel the separated coordinate last"
         )
+    if mu1.base.dimension - 1 not in _EINSUM:
+        raise PreconditionFailed("slope densities support dimensions 2 through 4")
     return gap
+
+
+def _slope_grid(eps, pitch, d: int) -> tuple[float, np.ndarray]:
+    """The pitch 0.5 / g and the g centers of the window grid on [1/2, 1],
+    g = max(1, round(0.5 / pitch)), with pitch eps / 2 when it is None.
+
+    eps must be positive and finite and pitch lie in (0, eps]; a grid of
+    more than DENSE_CELL_LIMIT cells g^(d-1) is refused before any array
+    is made."""
+    eps = float(eps)
+    if eps <= 0:
+        raise PreconditionFailed("the window half-width must be positive")
+    if not math.isfinite(eps):
+        raise PreconditionFailed(f"the window half-width must be finite, not {eps}")
+    pitch = eps / 2 if pitch is None else float(pitch)
+    if not (0 < pitch <= eps):
+        raise PreconditionFailed("grid pitch must lie in (0, eps]")
+    g = max(1, round(min(0.5 / pitch, 2.0 * DENSE_CELL_LIMIT)))
+    if g ** (d - 1) > DENSE_CELL_LIMIT:
+        raise SizeLimit(f"a slope grid at pitch {pitch} in dimension {d} passes the "
+                        f"{DENSE_CELL_LIMIT} cell cap")
+    pitch = 0.5 / g
+    return pitch, 0.5 + (np.arange(g) + 0.5) * pitch
+
+
+def _density(mass: np.ndarray, eps: float, pitch: float) -> tuple[np.ndarray, float]:
+    """The normalized values mass * eps^-(d-1) of a window grid and their
+    integral, the cell sum times pitch^(d-1)."""
+    m = mass.ndim
+    values = mass * eps**-m
+    return values, float(values.sum()) * pitch**m
 
 
 def slope_density(
@@ -684,26 +736,16 @@ def slope_density(
     eps^-(d-1).  The window test multiplies through by the positive
     denominator, so no division occurs and closed boundaries are honored.
     """
-    eps = float(eps)
-    if eps <= 0:
-        raise PreconditionFailed("the window half-width must be positive")
-    if pitch is None:
-        pitch = eps / 2
-    pitch = float(pitch)
-    if not (0 < pitch <= eps):
-        raise PreconditionFailed("grid pitch must lie in (0, eps]")
-    gap = _check_slope_inputs(mu1, mu2)
     d = mu1.base.dimension
-    g = max(1, round(0.5 / pitch))
-    pitch_eff = 0.5 / g
-    centers = 0.5 + (np.arange(g) + 0.5) * pitch_eff
-    mass = _window_mass(mu1, mu2, centers - eps, centers + eps)
-    values = mass * eps ** -(d - 1)
-    integral = float(values.sum()) * pitch_eff ** (d - 1)
+    eps = float(eps)
+    pitch, centers = _slope_grid(eps, pitch, d)
+    gap = _check_slope_inputs(mu1, mu2)
+    (mass,) = _window_masses(mu1, mu2, [(centers - eps, centers + eps)])
+    values, integral = _density(mass, eps, pitch)
     return SlopeDensityField(
         dimension=d,
         epsilon=eps,
-        pitch=pitch_eff,
+        pitch=pitch,
         centers=centers,
         values=values,
         integral=integral,
@@ -711,12 +753,14 @@ def slope_density(
     )
 
 
+# The chart [1/2, 1]^(d-1) as one window cell
+_CHART = (np.array([0.5]), np.array([1.0]))
+
+
 def slope_chart_pair_mass(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
     """Mass of support pairs whose slope vector lies in [1/2,1]^(d-1)."""
     _check_slope_inputs(mu1, mu2)
-    mass = _window_mass(
-        mu1, mu2, np.array([0.5]), np.array([1.0])
-    )
+    (mass,) = _window_masses(mu1, mu2, [_CHART])
     return float(mass.reshape(-1)[0])
 
 
@@ -750,6 +794,9 @@ def slope_band_sweep(
 ) -> SlopeBandReport:
     """Split mu, orient the pieces, and sweep the slope-density window.
 
+    The chart window and every width's grid (pitch eps / 2) run as one
+    window plan, so the pieces' supports are checked, binned and walked
+    once for the whole sweep; each integral is the one slope_density gives.
     The split threshold defaults to 4^-d here (smaller than the raw split
     default) because self-similar measures spread mass near-uniformly over
     child cubes and need the laxer gate to split at level one.
@@ -763,15 +810,20 @@ def slope_band_sweep(
         c = 4.0**-d
     split = stopping_time_split(mu, c=c, max_depth=max_depth)
     upper, lower = orient_split_for_slopes(split)
-    chart_mass = slope_chart_pair_mass(upper, lower)
+    gap = _check_slope_inputs(upper, lower)
+    try:
+        grids = [(eps, *_slope_grid(eps, eps / 2, d)) for eps in eps_values]
+    except DirlabError as exc:  # raised after the chart-mass refusal below
+        grids, refusal = [], exc
+    chart, *masses = _window_masses(
+        upper, lower, [_CHART] + [(centers - eps, centers + eps) for eps, _, centers in grids]
+    )
+    chart_mass = float(chart.reshape(-1)[0])
     if chart_mass <= 0:
         raise PreconditionFailed("no support pair slopes fall inside the chart")
-    gap = _check_slope_inputs(upper, lower)
-
-    integrals = []
-    for eps in eps_values:
-        field = slope_density(upper, lower, eps, pitch=eps / 2)
-        integrals.append(field.integral / chart_mass)
+    if not grids:
+        raise refusal
+    integrals = [_density(mass, eps, pitch)[1] / chart_mass for (eps, pitch, _), mass in zip(grids, masses)]
 
     reference = integrals[-1]
     predicted = s - (d - 1)

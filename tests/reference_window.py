@@ -1,12 +1,12 @@
 """Reference slope-window scan: every cross pair tested against every window.
 
-This is measure._window_mass_scan as it stood before range accumulation:
-per block of _PAIR_BLOCK // g cross pairs, the bounds a*[lo, hi] of each
-window are scaled by the denominator a = diffs[:, -1] of either sign, each
-slope coordinate is tested against them with closed comparisons, and the
-indicator products are summed by einsum.  The oracle tests compare the
-library's window with it: membership bit for bit, masses up to summation
-order.
+This is measure's scan window (now _window_masses_scan) as it stood before
+range accumulation: per block of _PAIR_BLOCK // g cross pairs, the bounds
+a*[lo, hi] of each window are scaled by the denominator a = diffs[:, -1] of
+either sign, each slope coordinate is tested against them with closed
+comparisons, and the indicator products are summed by einsum.  The oracle
+tests compare the library's window with it: membership bit for bit, masses
+up to summation order.
 """
 
 from __future__ import annotations

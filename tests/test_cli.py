@@ -316,6 +316,27 @@ class TestMeasure:
         assert payload["band_constant"] is not None
 
 
+    @pytest.mark.parametrize("command, eps, message", [
+        ("band", "inf", "finite"),
+        ("band", "1e-300", "cell cap"),
+        ("density", "inf", "finite"),
+        ("density", "nan", "finite"),
+        ("density", "1e-300", "cell cap"),
+    ])
+    def test_bad_window_width_is_usage_error(self, tmp_path, capsys, command, eps, message):
+        if command == "band":
+            rows = [" ".join(map(str, p)) for p in __import__("dirlab").product_cantor(
+                2, m=3, ratio=Fraction(1, 4), depth=2).points]
+            inputs = [write_points(tmp_path, "c.txt", f"2 {len(rows)} exact\n" + "\n".join(rows) + "\n"),
+                      "--s", "1.585"]
+        else:
+            inputs = [write_points(tmp_path, "u.txt", "2 1 exact\n3/4 1\n"),
+                      write_points(tmp_path, "l.txt", "2 1 exact\n0 0\n")]
+        code, out, err = run_cli(capsys, "measure", command, *inputs, "--eps", eps)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 class TestExperimentAndErrors:
     def test_experiment_run_passing_config(self, tmp_path, capsys):
         cfg = tmp_path / "ok.ini"

@@ -725,8 +725,8 @@ def subset_checking_every_greedy(monkeypatch, census, delta):
     slab_greedy = directions._greedy
     kept_per_pass = []
 
-    def checked(slabs, kept, candidates):
-        chosen = slab_greedy(slabs, kept, candidates)
+    def checked(slabs, kept, candidates, *flags):
+        chosen = slab_greedy(slabs, kept, candidates, *flags)
         units = slabs.units[slabs.rank]
         assert chosen == reference_subset.greedy(units, kept, candidates, delta)
         kept_per_pass.append(len(chosen))
@@ -772,14 +772,19 @@ class TestGreedyBlocksPerKeptUnit:
     def test_one_block_per_kept_unit(self, monkeypatch, cantor_census):
         """Each pass blocks a slab for each unit it keeps and for nothing
         else, so a loop that tests every candidate against the kept units
-        fails here, not just by running slowly."""
+        fails here, not just by running slowly.  The extension pass starts
+        from the flags the winning class pass left, so its kept prefix
+        blocks nothing again."""
         census, delta = cantor_census
-        blocked = []
-        block = directions._Slabs.block
+        blocked, reused = [], []
+        block, greedy = directions._Slabs.block, directions._greedy
         monkeypatch.setattr(directions._Slabs, "block",
                             lambda slabs, r, flags: blocked.append(r) or block(slabs, r, flags))
+        monkeypatch.setattr(directions, "_greedy", lambda slabs, kept, candidates, *flags:
+                            reused.append(len(kept) if flags else 0) or greedy(slabs, kept, candidates, *flags))
         _, kept_per_pass = subset_checking_every_greedy(monkeypatch, census, delta)
-        assert len(blocked) == sum(kept_per_pass) < census.count // 10
+        assert reused[-1] > 0 and sum(reused) == reused[-1]
+        assert len(blocked) == sum(kept_per_pass) - reused[-1] < census.count // 10
 
 def oracle_coverage(ps, eps, antipodal):
     """{cell code: hits} over pairs, one pair at a time in Python floats."""

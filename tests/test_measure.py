@@ -28,6 +28,7 @@ from dirlab import (
     NotSeparated,
     PointSet,
     PreconditionFailed,
+    SizeLimit,
     WeightedPointSet,
     default_energy_bound,
     discrete_frostman,
@@ -43,7 +44,8 @@ from dirlab import (
     stopping_time_split,
     uniform_weights,
 )
-from dirlab import measure
+from dirlab import geometry, measure
+from dirlab.directions import DENSE_CELL_LIMIT
 from dirlab.geometry import MAX_DENOMINATOR
 
 CANTOR_S = 2 * math.log(3) / math.log(4)
@@ -950,9 +952,10 @@ class TestWindowPaths:
     def test_product_matches_scan(self, pair, g, eps):
         mu1, mu2, dyadic = pair
         centers = -1 + (np.arange(g) + 0.5) * (2 / g)
-        product = measure._window_mass_product(mu1, mu2, centers - eps, centers + eps)
-        scan = measure._window_mass_scan(mu1, mu2, centers - eps, centers + eps)
+        product = measure._window_masses_product(mu1, mu2, [(centers - eps, centers + eps)])
+        (scan,) = measure._window_masses_scan(mu1, mu2, [(centers - eps, centers + eps)])
         assert product is not None
+        (product,) = product
         if dyadic:
             assert product.tolist() == scan.tolist()
         else:
@@ -967,7 +970,7 @@ class TestWindowPaths:
         lower = uniform_weights(PointSet.from_points(itertools.product(quarter, quarter)))
         want = brute_chart_mass(list(upper.base.points), list(upper.masses),
                                 list(lower.base.points), list(lower.masses))
-        monkeypatch.setattr(measure, "_window_mass_scan", refuse)
+        monkeypatch.setattr(measure, "_window_masses_scan", refuse)
         assert slope_chart_pair_mass(upper, lower) == float(want)
         weighted = WeightedPointSet(base=lower.base, masses=[Fraction(1, 8)] * 2 + [Fraction(3, 8)] * 2)
         with pytest.raises(AssertionError, match="scan window"):
@@ -1003,12 +1006,129 @@ def window_cases(draw):
         return WeightedPointSet(base=P, masses=[u / sum(units) for u in units])
 
     mu1, mu2 = measure_on(support(1)), measure_on(support(0))
+    return (mu1, mu2, *draw(window_grids(d)))
+
+
+@st.composite
+def window_grids(draw, d):
+    """A window grid (lo, hi) for window_cases in dimension d."""
     eps = 2.0 ** -draw(st.integers(0, 4))
     pitch = eps * 2.0 ** -draw(st.integers(0, 5))
     g = draw(st.integers(1, {2: 40, 3: 16, 4: 8}[d]))
     start = draw(st.integers(-24, 24)) / 8
     centers = start + (np.arange(g) + 0.5) * pitch
-    return mu1, mu2, centers - eps, centers + eps
+    return centers - eps, centers + eps
+
+
+@st.composite
+def window_plans(draw, path):
+    """Two measures and one to four window grids for one plan: uniform
+    product pairs for the product path, window_cases' measures (uniform or
+    weighted) for the scan."""
+    if path == "product":
+        mu1, mu2, _ = draw(separated_product_pairs())
+    else:
+        mu1, mu2, *_ = draw(window_cases())
+    return mu1, mu2, draw(st.lists(window_grids(mu1.base.dimension), min_size=1, max_size=4))
+
+
+class TestWindowPlan:
+    """One plan over several windows gives each window the masses it gets
+    planned alone, on either path and at any worker count."""
+
+    @pytest.mark.parametrize("path", ["product", "scan"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(data=st.data())
+    def test_each_window_as_planned_alone(self, path, workers, data):
+        mu1, mu2, windows = data.draw(window_plans(path))
+        plan = {"product": measure._window_masses_product, "scan": measure._window_masses_scan}[path]
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (geometry, measure):
+                mp.setattr(module, "_PAIR_BLOCK", 40)  # many blocks, and threads past 40 pairs
+            mp.setattr(geometry, "_WORKERS", workers)
+            planned = plan(mu1, mu2, windows)
+            mp.setattr(geometry, "_WORKERS", 1)
+            alone = [plan(mu1, mu2, [window])[0] for window in windows]
+        assert [mass.tolist() for mass in planned] == [mass.tolist() for mass in alone]
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        fn = getattr(measure, name)
+        monkeypatch.setattr(measure, name, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
+        return calls
+
+    def test_product_sweep_builds_each_piece_once(self, monkeypatch):
+        gaps, axes = self.count(monkeypatch, "_min_cross_gap"), self.count(monkeypatch, "_product_axes")
+        monkeypatch.setattr(measure, "_pair_loop", None)  # the product path walks no pairs
+        report = slope_band_sweep(cantor_measure(3), CANTOR_S, [1 / 8, 1 / 16, 1 / 32])
+        assert len(gaps) == 1 and len(axes) == 2 and len(report.integrals) == 3
+
+    def test_scan_sweep_walks_the_cross_pairs_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        P = PointSet.from_points(rng.random((300, 2)).tolist(), mode="float")
+        w = rng.random(300)
+        mu = WeightedPointSet(base=P, masses=(w / w.sum()).tolist())
+        upper, lower = orient_split_for_slopes(stopping_time_split(mu, c=1 / 16))
+        loops, blocks = [], []
+
+        def pair_loop(*args, **kwargs):
+            walk = geometry._pair_loop(*args, **kwargs)
+            loops.append(walk.pairs)
+
+            def fill(spec):
+                diffs, wp = walk.fill(spec)
+                blocks.append(len(diffs))
+                return diffs, wp
+
+            return geometry._Blocks(fill, walk.specs, walk.pairs)
+
+        gaps = self.count(monkeypatch, "_min_cross_gap")
+        monkeypatch.setattr(measure, "_pair_loop", pair_loop)
+        monkeypatch.setattr(measure, "_PAIR_BLOCK", 400)
+        report = slope_band_sweep(mu, 1.5, [1 / 8, 1 / 16, 1 / 32])
+        assert len(gaps) == 1 and len(report.integrals) == 3
+        assert loops == [len(upper) * len(lower)] and len(blocks) > 1 and sum(blocks) == loops[0]
+
+
+class TestSlopeGridRefusals:
+    """Non-finite widths and grids past the cell cap are refused, the cap
+    before any array is made; the other refusals keep their order."""
+
+    @pytest.mark.parametrize("eps, pitch", [(math.inf, None), (math.nan, None), (1 / 8, math.nan),
+                                            (1 / 8, math.inf), (-1 / 8, None)])
+    def test_density_refuses_widths(self, eps, pitch):
+        with pytest.raises(PreconditionFailed):
+            slope_density(single_atom(Fraction(3, 4), 1), single_atom(0, 0), eps, pitch)
+
+    @pytest.mark.parametrize("pitch", [1e-300, 5e-324])
+    def test_density_refuses_grids_past_the_cap(self, pitch):
+        with pytest.raises(SizeLimit, match="cell cap"):
+            slope_density(single_atom(Fraction(3, 4), 1), single_atom(0, 0), 1 / 8, pitch)
+
+    @pytest.mark.parametrize("d, side", [(2, 1 << 20), (3, 1 << 10), (4, 101)])
+    def test_cap_counts_every_cell(self, d, side):
+        pitch, centers = measure._slope_grid(1.0, 0.5 / side, d)
+        assert len(centers) == side and side ** (d - 1) <= DENSE_CELL_LIMIT
+        with pytest.raises(SizeLimit):
+            measure._slope_grid(1.0, 0.5 / (side + 1), d)
+
+    @pytest.mark.parametrize("eps_list, error, message", [
+        ([1 / 8, math.inf], PreconditionFailed, "finite"),
+        ([1 / 8, 1e-300], SizeLimit, "cell cap"),
+        ([1 / 8, -1 / 8], PreconditionFailed, "positive"),
+        ([], PreconditionFailed, "at least one"),
+    ])
+    def test_sweep_refuses_widths(self, eps_list, error, message):
+        with pytest.raises(error, match=message):
+            slope_band_sweep(cantor_measure(3), CANTOR_S, eps_list)
+
+    @pytest.mark.parametrize("eps", [math.inf, -1.0, 1e-300])
+    def test_empty_chart_is_refused_first(self, eps):
+        # the pieces lie one above the other: their only slope, 0, misses the chart
+        mu = uniform_weights(PointSet.from_points([(Fraction(1, 8), Fraction(k, 8)) for k in (1, 7)]))
+        with pytest.raises(PreconditionFailed, match="inside the chart"):
+            slope_band_sweep(mu, 1.5, [1 / 8, eps])
 
 
 class TestWindowAgainstReference:
@@ -1017,7 +1137,8 @@ class TestWindowAgainstReference:
 
     @staticmethod
     def check(mu1, mu2, lo, hi):
-        got, want = measure._window_mass_scan(mu1, mu2, lo, hi), reference_window.scan(mu1, mu2, lo, hi)
+        (got,) = measure._window_masses_scan(mu1, mu2, [(lo, hi)])
+        want = reference_window.scan(mu1, mu2, lo, hi)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert (got[want == 0] == 0.0).all()
         if all(mu.uniform and len(mu) & (len(mu) - 1) == 0 for mu in (mu1, mu2)):
@@ -1093,9 +1214,9 @@ class TestWindowAgainstReference:
         field = slope_density(mu1, mu2, eps=1 / 16, pitch=1 / 32)
         np.testing.assert_allclose(field.values * (1 / 16) ** 2, want, rtol=1e-12, atol=0)
         with pytest.raises(AssertionError, match="expanded"):
-            measure._window_mass_product(uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
-                                         uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
-                                         centers - 1 / 16, centers + 1 / 16)
+            measure._window_masses_product(uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                                           uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                                           [(centers - 1 / 16, centers + 1 / 16)])
 
 
 class TestSlopeBandSweep:

@@ -151,7 +151,7 @@ class TestWorkerCounts:
         w = rng.random(50)
         mu1, mu2 = uniform_weights(upper), WeightedPointSet(base=lower, masses=(w / w.sum()).tolist())
         centers = 0.5 + (np.arange(8) + 0.5) / 16
-        one, many = on_every_core_count(lambda: measure._window_mass_scan(mu1, mu2, centers - 0.1, centers + 0.1))
+        one, many = on_every_core_count(lambda: measure._window_masses_scan(mu1, mu2, [(centers - 0.1, centers + 0.1)])[0])
         assert one.sum() > 0 and all(other.tobytes() == one.tobytes() for other in many)
 
     @given(product_point_sets(max_axis=7), st.sampled_from([1, 1.5, 2]))
