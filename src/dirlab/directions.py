@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionFailed, WrongDimension
+from .errors import PreconditionFailed, SizeLimit, WrongDimension
 from .geometry import (
     DIRECTION_RESOLUTION,
     DirectionKey,
@@ -37,6 +37,11 @@ from .geometry import (
 
 # Chart cells up to which coverage counts hits in a dense int64 array (8 MB).
 DENSE_CELL_LIMIT = 1 << 20
+# Keys a census may hold: it refuses, before its walk, a set whose pairs (or
+# distinct differences, on the product path) pass this.  In d = 3 a census
+# peaks at about twice the 24 bytes a key it holds, so this is about 3.2 GB;
+# it refuses float sets from 11,586 points on.
+CENSUS_KEY_LIMIT = 1 << 26
 
 
 class DirectionKeys(Set):
@@ -104,8 +109,8 @@ class DirectionCensus:
 
 
 def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
-    """Rows times the sign of their first nonzero entry, read column by
-    column; later columns are read only at the rows still undecided."""
+    """Rows times the sign of their first nonzero entry, in place, read column
+    by column; later columns are read only at the rows still undecided."""
     cols = rows.T
     sign = np.sign(cols[0])
     for col in cols[1:]:
@@ -113,7 +118,8 @@ def _flip_to_canonical(rows: np.ndarray) -> np.ndarray:
         if not len(undecided):
             break
         sign[undecided] = np.sign(col[undecided])
-    return rows * sign[:, None]
+    rows *= sign[:, None]
+    return rows
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -132,6 +138,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     Signed mode (antipodal=False) counts ordered pairs, so both u and -u
     appear; identified mode counts each unordered pair once.  Signed rows
     are -R[::-1] then R, R the canonical rows (README, "the census").
+    Refuses with SizeLimit a set whose pair differences pass CENSUS_KEY_LIMIT.
     """
     n = len(P)
     if n < 2:
@@ -148,11 +155,15 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
             q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
         return _flip_to_canonical(q)
 
+    blocks = _pair_differences(arr)
+    if blocks.pairs > CENSUS_KEY_LIMIT:
+        raise SizeLimit(f"a census of {blocks.pairs} pair differences passes the "
+                        f"{CENSUS_KEY_LIMIT} key budget (CENSUS_KEY_LIMIT)")
     if exact:
         bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
     else:
         bound, scale = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION
-    rows = _unique_rows(_block_map(canonical, _pair_differences(arr)), bound, P.dimension)
+    rows = _unique_rows(_block_map(canonical, blocks), bound, P.dimension)
     if not antipodal:
         rows = np.concatenate([-rows[::-1], rows])
     keys = DirectionKeys(rows, scale, exact, antipodal)
@@ -394,9 +405,11 @@ class _Slabs:
     def block(self, r: int, blocked: np.ndarray) -> None:
         """Flag the units of r's slab closer than delta to unit r.  Each
         pair is the greedy's |kept - candidate| negated, so its norm has
-        the same bits."""
+        the same bits; the norm is the expression np.linalg.norm(x, axis=1)
+        evaluates for real rows, without its dispatch."""
         lo, hi = self.lo[r], self.hi[r]
-        blocked[lo:hi] |= np.linalg.norm(self.units[lo:hi] - self.units[r], axis=1) < self.delta
+        x = self.units[lo:hi] - self.units[r]
+        blocked[lo:hi] |= np.sqrt(np.add.reduce(x * x, axis=1)) < self.delta
 
 
 def _greedy(slabs: _Slabs, kept: list, candidates: list, blocked: np.ndarray | None = None) -> list:

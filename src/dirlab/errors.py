@@ -22,7 +22,7 @@ class WrongDimension(DirlabError):
 
 
 class SizeLimit(DirlabError):
-    """A generator would exceed its configured point budget."""
+    """A generator or kernel would exceed its stated size budget."""
 
 
 class PreconditionFailed(DirlabError):

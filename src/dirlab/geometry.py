@@ -356,8 +356,8 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
     """Blocks of about block (default _PAIR_BLOCK) pairs (y_j - x_i,
     multiplicity), x_i a row of arr, in (i, j) order: the cross form takes
     every row y_j of other, the plain form the rows x_j of arr with i < j.
-    Multiplicity is 1 (int64) without weights, else weights[i] *
-    other_weights[j] (weights[j] in the plain form).
+    Multiplicity is a read-only broadcast of int64 1 without weights, else
+    weights[i] * other_weights[j] (weights[j] in the plain form).
 
     Each block of rows i0 <= i < i1 subtracts only against the rows j it can
     pair with (j > i0 in the plain form) and masks the triangle inside that
@@ -383,7 +383,7 @@ def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | 
             buf[k] = diff[pick].ravel()
             del diff  # one coordinate's block is live at a time
         if weights is None:
-            return buf.T, np.ones(m, dtype=np.int64)
+            return buf.T, np.broadcast_to(np.int64(1), (m,))
         return buf.T, (weights[i0:i1, None] * other_weights[None, j0:])[pick].ravel()
 
     return _Blocks(fill, range(0, stop, rows), len(arr) * n if cross else n * (n - 1) // 2)
@@ -466,23 +466,34 @@ def _distinct_words(words: list) -> list:
     """The distinct tuples (words[0][i], words[1][i], ...) in lexicographic
     order, as word arrays again: one word by sort and adjacent compare;
     several by a sort on the first word, then one lexsort over just the
-    tuples whose first word ties (they stand in runs, so it sorts each run)."""
+    tuples whose first word ties (they stand in runs, so it sorts each run).
+    Each word is replaced inside the list, so an old array is freed as its
+    successor is made; the arrays themselves are never written."""
     if len(words) == 1:
-        return [_sorted_unique(words[0])]
+        words[0] = _sorted_unique(words[0])
+        return words
     order = np.argsort(words[0])
     first = words[0][order]
     tie = np.zeros(len(order) + 1, dtype=bool)
     np.equal(first[1:], first[:-1], out=tie[1:-1])
     run = np.flatnonzero(tie[1:] | tie[:-1])
+    del first, tie
     if len(run):
         rows = order[run]
         order[run] = rows[np.lexsort([w[rows] for w in words[::-1]])]
+        del rows, run
     # word 0 is gathered again rather than taken from first: reusing first
     # left the product workload's peak RSS 2.4 MB higher (heap layout)
-    words = [w[order] for w in words]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = np.any([w[1:] != w[:-1] for w in words], axis=0)
-    return [w[keep] for w in words]
+    for i in range(len(words)):
+        words[i] = words[i][order]
+    del order
+    keep = np.ones(len(words[0]), dtype=bool)
+    np.not_equal(words[0][1:], words[0][:-1], out=keep[1:])
+    for w in words[1:]:
+        keep[1:] |= w[1:] != w[:-1]
+    for i in range(len(words)):
+        words[i] = words[i][keep]
+    return words
 
 
 def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
@@ -495,7 +506,7 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
     rows as few words as keep each within int64.  Each chunk is packed and
     deduplicated on its words (by the worker that fills it, for _Blocks),
     then, over several chunks, their union is, in chunk order, and the words
-    unpack to the rows."""
+    unpack to the rows, each word the scratch of its own unpacking."""
     base = 2 * bound + 1
 
     def pack(rows):
@@ -509,17 +520,28 @@ def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
             for j in range(lo + 1, hi):
                 word = word * base + rows[:, j]
             words.append(word)
+        del word  # words holds the only reference, so _distinct_words frees it
         return spans, _distinct_words(words)
 
     parts = list(_block_map(pack, chunk_rows))
     spans, words = parts[-1]
     if len(parts) > 1:
-        words = _distinct_words([np.concatenate(column) for column in zip(*(words for _, words in parts))])
+        # a column at a time, each part's word dropped once it is copied
+        words = []
+        for k in range(len(spans)):
+            words.append(np.concatenate([part[k] for _, part in parts]))
+            for _, part in parts:
+                part[k] = None
+        words = _distinct_words(words)
     out = np.empty((len(words[0]), d), dtype=words[0].dtype)
-    for (lo, hi), rem in zip(spans, words):
+    for lo, hi in spans:
+        rem = words.pop(0)  # scratch from here on, freed after its span
         for j in range(hi - 1, lo, -1):
+            rem += bound
             # // and % rather than np.divmod, which has no object loop
-            rem, out[:, j] = (rem + bound) // base, (rem + bound) % base - bound
+            np.remainder(rem, base, out=out[:, j])
+            out[:, j] -= bound
+            rem //= base
         out[:, lo] = rem
     return out
 

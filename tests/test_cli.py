@@ -122,6 +122,19 @@ class TestDirections:
         assert payload["count"] == 4
         assert payload["n_pairs"] == 6
 
+    @pytest.mark.parametrize("signed", [[], ["--signed"]])
+    def test_count_past_census_budget_is_usage_error(self, tmp_path, capsys, monkeypatch, signed):
+        from dirlab import directions
+
+        points = write_points(tmp_path, "tri.txt", "2 3 exact\n0 0\n1 0\n0 1\n")  # 3 pairs, not a product
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 2)
+        code, out, err = run_cli(capsys, "directions", "count", points, *signed)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "key budget" in err and "Traceback" not in err
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 3)
+        code, out, _ = run_cli(capsys, "directions", "count", points, *signed)
+        assert code == 0 and json.loads(out)["count"] == 3 * (2 if signed else 1)
+
     def test_count_signed(self, tmp_path, capsys):
         points = write_points(tmp_path, "sq.txt", SQUARE)
         code, out, _ = run_cli(capsys, "directions", "count", points, "--signed")

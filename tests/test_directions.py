@@ -29,8 +29,10 @@ from dirlab import (
     LatticeSpec,
     PointSet,
     PreconditionFailed,
+    SizeLimit,
     WrongDimension,
     distinct_directions,
+    energy_integral,
     hyperplane_sample,
     lattice_set,
     pps_check,
@@ -39,6 +41,7 @@ from dirlab import (
     separated_subset,
     sphere_coverage,
     sphere_coverage_sweep,
+    uniform_weights,
 )
 from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _face_decompose, _flip_to_canonical, _unit_rows
 from dirlab.geometry import DirectionKey, _unique_rows
@@ -870,10 +873,11 @@ class TestFaceDecomposeAgainstReference:
     @given(face_rows())
     def test_flip_matches(self, rows):
         assume(np.isfinite(rows).all())
-        got, want = _flip_to_canonical(rows), reference_pairs.flip_to_canonical(rows)
+        # _flip_to_canonical flips in place, so it gets copies
+        got, want = _flip_to_canonical(rows.copy()), reference_pairs.flip_to_canonical(rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         ints = np.rint(rows * 4).astype(np.int64)
-        assert _flip_to_canonical(ints).tolist() == reference_pairs.flip_to_canonical(ints).tolist()
+        assert _flip_to_canonical(ints.copy()).tolist() == reference_pairs.flip_to_canonical(ints).tolist()
 
     def test_rows_with_inf_and_nan_match(self):
         # units of differences whose squares underflow: the first NaN, else
@@ -964,7 +968,7 @@ class TestSignedByNegation:
         signed = distinct_directions(ps, False)
         assert len(seen) == 1 and sum(map(len, seen[0])) > 0
         for chunk in seen[0]:
-            assert _flip_to_canonical(chunk).tolist() == chunk.tolist()
+            assert _flip_to_canonical(chunk.copy()).tolist() == chunk.tolist()
         assert signed.count == 2 * distinct_directions(ps, True).count
 
     @pytest.mark.parametrize("antipodal", [True, False])
@@ -1014,3 +1018,162 @@ class TestFloatChartRefusals:
         ps = PointSet.from_points([(Fraction(10**200), 0), (Fraction(10**200), 10**200), (0, 0)])
         census = distinct_directions(ps, True)
         assert sorted(key.rep for key in separated_subset(census, 0.1).keys) == [(0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def tied_parts(draw, branch):
+    """Int64 rows within ROW_BOUNDS[branch] in 2-5 parts, their first two
+    entries from a few values, so first words tie across parts."""
+    d = draw(st.integers(2, 5))
+    bound = ROW_BOUNDS[branch]
+    few = st.sampled_from([-bound, -1, 0, 1, bound])
+    rest = few | st.integers(-bound, bound)
+    rows = draw(st.lists(st.tuples(few, few, *[rest] * (d - 2)), min_size=2, max_size=60))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=20))
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows) - 1), min_size=1, max_size=4)))
+    return [np.array(rows[a:b], dtype=np.int64).reshape(-1, d)
+            for a, b in zip([0] + cuts, cuts + [len(rows)]) if b > a], bound, d
+
+
+class TestUniqueRowsUnion:
+    """The union over several parts (concatenated a word at a time, first
+    word sorted, ties lexsorted, words unpacked in place) against
+    np.unique(axis=0); the parts themselves are left as they were."""
+
+    @pytest.mark.parametrize("branch", ["one-word", "two-per-word", "one-per-word"])
+    @given(data=st.data())
+    def test_parts_with_first_word_ties(self, branch, data):
+        parts, bound, d = data.draw(tied_parts(branch))
+        before = [part.copy() for part in parts]
+        got = _unique_rows(parts, bound, d)
+        want = np.unique(np.concatenate(before), axis=0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert all(np.array_equal(part, old) for part, old in zip(parts, before))
+
+    def test_many_parts_of_many_ties(self):
+        rng = np.random.default_rng(21)
+        rows = rng.integers(-2, 3, size=(20_000, 4)) * (1 << 40)
+        rows[:, 3] += rng.integers(-5, 6, size=len(rows))
+        got = _unique_rows(np.array_split(rows, 7), 1 << 42, 4)
+        assert np.array_equal(got, np.unique(rows, axis=0))
+
+
+class TestCensusPeak:
+    """A census peaks at about twice the key rows it holds: the union frees
+    each part's words as it copies them and unpacks in place.  One worker,
+    so the peak does not depend on how the threads interleave."""
+
+    @pytest.mark.parametrize("kind", ["float", "exact"])
+    def test_peak_over_held_rows(self, kind, monkeypatch):
+        import tracemalloc
+
+        rng = random.Random(3)
+        if kind == "float":
+            ps = PointSet.from_points([tuple(rng.random() for _ in range(3)) for _ in range(600)], mode="float")
+        else:
+            ps = PointSet.from_points(random_rational_points(rng, 600, 3, denom=997))
+        assert geometry._product_axes(ps._scaled_rows()[0]) is None
+        monkeypatch.setattr(geometry, "_WORKERS", 1)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            census = distinct_directions(ps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        held = census.keys.rows.nbytes
+        assert census.count > 170_000  # nearly one key per each of the 179,700 pairs
+        assert peak <= 2.2 * held  # 3.3 (float) and 3.0 (exact) before the union held less
+
+
+def walk_refused(*args, **kwargs):
+    raise AssertionError("the census walked its pairs")
+
+
+class TestCensusBudget:
+    """The census refuses, before its walk, a set whose pair differences
+    (its bound on held keys) pass CENSUS_KEY_LIMIT."""
+
+    def test_refused_before_the_walk(self, monkeypatch):
+        ps = PointSet.from_points([(i, i * i % 7) for i in range(12)])  # 66 pairs, not a product
+        want = distinct_directions(ps).count
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 66)
+        assert distinct_directions(ps).count == want
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 65)
+        monkeypatch.setattr(directions, "_unique_rows", walk_refused)
+        for antipodal in (True, False):
+            with pytest.raises(SizeLimit, match="66 pair differences passes the 65 key budget"):
+                distinct_directions(ps, antipodal)
+
+    def test_default_refuses_float_sets_from_11586_points(self, monkeypatch):
+        assert directions.CENSUS_KEY_LIMIT == 1 << 26
+        rows = np.random.default_rng(11).random((11_586, 3))
+        assert geometry._pair_differences(rows[:-1]).pairs <= directions.CENSUS_KEY_LIMIT
+        monkeypatch.setattr(directions, "_unique_rows", walk_refused)
+        with pytest.raises(SizeLimit, match="67111905 pair differences"):
+            distinct_directions(PointSet._from_scaled(rows, 1.0))
+
+    def test_lattice_counts_its_distinct_differences(self, monkeypatch):
+        # 125 points: 7,750 pairs but (9^3 - 1) / 2 = 364 distinct differences
+        ps = lattice_set(LatticeSpec(q=4, d=3))
+        want = [distinct_directions(ps, antipodal) for antipodal in (True, False)]
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 364)
+        assert [distinct_directions(ps, antipodal) for antipodal in (True, False)] == want
+        monkeypatch.setattr(geometry, "_product_axes", lambda arr: None)
+        with pytest.raises(SizeLimit, match="7750 pair differences"):
+            distinct_directions(ps)
+
+
+class TestReadOnlyMultiplicity:
+    """Unweighted pair-loop blocks carry their multiplicity as a read-only
+    broadcast of int64 1, which no kernel writes into."""
+
+    def test_writing_raises(self):
+        arr = np.random.default_rng(4).random((500, 3))
+        blocks = list(geometry._pair_loop(arr, None))
+        assert len(blocks) > 1
+        for diffs, mult in blocks:
+            assert mult.dtype == np.int64 and mult.shape == (len(diffs),) and mult.strides == (0,)
+            assert not mult.flags.writeable and set(mult.tolist()) == {1}
+            with pytest.raises(ValueError, match="read-only"):
+                mult[0] = 2
+            with pytest.raises(ValueError, match="read-only"):
+                mult *= 2
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_kernels_on_both_paths(self, mode, monkeypatch):
+        ps = lattice_set(LatticeSpec(q=3, d=3))
+        if mode == "float":
+            ps = PointSet.from_points(ps.as_array().tolist(), mode="float")
+        loop, writeable = geometry._pair_loop, []
+
+        def recording(*args, **kwargs):
+            blocks = loop(*args, **kwargs)
+
+            def fill(spec):
+                diffs, mult = blocks.fill(spec)
+                writeable.append(mult.flags.writeable)
+                return diffs, mult
+
+            return geometry._Blocks(fill, blocks.specs, blocks.pairs)
+
+        def kernels(P):
+            mu = uniform_weights(P)
+            return ([distinct_directions(P, antipodal) for antipodal in (True, False)],
+                    [[g.cells for g in sphere_coverage_sweep(P, [0.2, 0.05], antipodal)] for antipodal in (True, False)],
+                    [(energy_integral(mu, s), reference_pairs.energy_integral(mu, s)) for s in (1.5, 2)])
+
+        monkeypatch.setattr(geometry, "_pair_loop", recording)
+        product, pair = on_both_paths(kernels, ps)
+        assert writeable and not any(writeable)
+        assert product[:2] == pair[:2]
+        assert [set(c.keys) for c in pair[0]] == [reference_census.distinct_directions(ps, antipodal).keys
+                                                 for antipodal in (True, False)]
+        for _, _, energies in (product, pair):
+            for got, want in energies:
+                assert type(got) is type(want)
+                assert got == want if isinstance(want, Fraction) else got.hex() == want.hex()
