@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 
@@ -29,7 +28,9 @@ from .geometry import (
     PointSet,
     _block_map,
     _float_rows,
-    _group_sums,
+    _fold,
+    _fold_in,
+    _grouped_sum,
     _pair_differences,
     _unique_rows,
     collinearity_rank,
@@ -310,13 +311,10 @@ def sphere_coverage_sweep(
     d = P.dimension
     sides = [_chart_side(eps) for eps in eps_list]
     totals = [2 * d * m ** (d - 1) for m in sides]
-    accums = [
-        np.zeros(total, dtype=np.int64) if total <= DENSE_CELL_LIMIT else Counter()
-        for total in totals
-    ]
+    accums = [np.zeros(total, dtype=np.int64) if total <= DENSE_CELL_LIMIT else [] for total in totals]
 
     def chart(block):
-        # per pitch and chart: cell codes for a dense accumulator, else summed hits
+        # per pitch and chart: cell codes for a dense accumulator, else a part
         diffs, mult = block
         norms = _row_norms(diffs)
         if not norms.all():
@@ -328,31 +326,31 @@ def sphere_coverage_sweep(
         for eps, acc in zip(eps_list, accums):
             for chart_face, chart_other in charts:
                 code, _ = _chart_codes(chart_face, chart_other, eps)
-                hits.append((acc, _group_sums(code, mult) if isinstance(acc, Counter) else code))
+                hits.append((acc, _grouped_sum(code, mult)[:2] if isinstance(acc, list) else code))
         return mult, hits
 
     for mult, hits in _block_map(chart, _pair_differences(P.as_array())):
         for acc, hit in hits:
-            if isinstance(acc, Counter):
-                acc.update(hit)
+            if isinstance(acc, list):
+                _fold_in(acc, hit)
             else:
                 np.add.at(acc, hit, mult)
 
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     grids = []
     for eps, m, acc in zip(eps_list, sides, accums):
-        if isinstance(acc, Counter):
-            cells = dict(acc)
+        if isinstance(acc, list):
+            codes, hits = _fold(acc)
         else:
-            nz = np.flatnonzero(acc)
-            cells = dict(zip(nz.tolist(), acc[nz].tolist()))
+            codes = np.flatnonzero(acc)
+            hits = acc[codes]
         grids.append(
             CoverageGrid(
                 dimension=d,
                 epsilon=eps,
                 antipodal_identified=antipodal,
                 cells_per_side=m,
-                cells=cells,
+                cells=dict(zip(codes.tolist(), hits.tolist())),
                 n_pairs=n_pairs,
             )
         )

@@ -438,19 +438,33 @@ def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None):
 
 
 def _grouped_sum(keys: np.ndarray, values: np.ndarray):
-    """Sorted distinct keys, the inverse by binary search and per key the sum
-    of values, exact in their dtype and added in their order."""
+    """Sorted distinct keys, per key the sum of values, exact in their dtype
+    and added in their order, and the inverse by binary search.  The first
+    two are a part, as the fold of coverage and energy blocks holds them."""
     distinct = _sorted_unique(keys)
     inverse = np.searchsorted(distinct, keys)
     sums = np.zeros(len(distinct), dtype=values.dtype)
     np.add.at(sums, inverse, values)
-    return distinct, inverse, sums
+    return distinct, sums, inverse
 
 
-def _group_sums(keys: np.ndarray, mult: np.ndarray) -> dict:
-    """{key: summed multiplicity} over one block, exact in the dtype of mult."""
-    distinct, _, sums = _grouped_sum(keys, mult)
-    return dict(zip(distinct.tolist(), sums.tolist()))
+def _fold_in(held: list, part: tuple) -> None:
+    """Add a part to the held ones, folding them all into one whenever the
+    later parts hold more rows than the first: held rows stay within twice
+    the distinct keys plus one part."""
+    held.append(part)
+    if sum(len(keys) for keys, _ in held[1:]) > len(held[0][0]):
+        _fold(held)
+
+
+def _fold(held: list) -> tuple:
+    """Fold the held parts, in place, into the one part that sums them, and
+    return it."""
+    if len(held) > 1:
+        keys, sums = (np.concatenate(column) for column in zip(*held))
+        held.clear()  # the parts go before their grouped sum is made
+        held.append(_grouped_sum(keys, sums)[:2])
+    return held[0]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -591,37 +605,25 @@ def canonical_direction(x: Sequence, y: Sequence, antipodal: bool = True) -> Dir
     With ``antipodal`` the key identifies u with -u (the sign is fixed so the
     first nonzero entry is positive); without it the sign of x - y survives.
     """
-    mode = _check_pair(x, y)
-    if mode == "exact":
+    exact = _check_pair(x, y) == "exact"
+    if exact:
         diff = [Fraction(a) - Fraction(b) for a, b in zip(x, y)]
         if all(v == 0 for v in diff):
             raise DegeneratePair("x == y has no direction")
         denom = math.lcm(*(v.denominator for v in diff))
         ints = [int(v * denom) for v in diff]
         g = math.gcd(*ints)
-        prim = [v // g for v in ints]
-        if antipodal:
-            for v in prim:
-                if v != 0:
-                    if v < 0:
-                        prim = [-w for w in prim]
-                    break
-        return DirectionKey(rep=tuple(prim), antipodal_identified=antipodal, exact=True)
-
-    diff = [float(a) - float(b) for a, b in zip(x, y)]
-    norm = math.sqrt(sum(v * v for v in diff))
-    if norm == 0.0:
-        raise DegeneratePair("x == y has no direction")
-    unit = [v / norm for v in diff]
-    quantized = [round(v / DIRECTION_RESOLUTION) for v in unit]
-    if antipodal:
-        for q in quantized:
-            if q != 0:
-                if q < 0:
-                    quantized = [-w for w in quantized]
-                break
-    rep = tuple(q * DIRECTION_RESOLUTION for q in quantized)
-    return DirectionKey(rep=rep, antipodal_identified=antipodal, exact=False)
+        key = [v // g for v in ints]  # the primitive vector
+    else:
+        diff = [float(a) - float(b) for a, b in zip(x, y)]
+        norm = math.sqrt(sum(v * v for v in diff))
+        if norm == 0.0:
+            raise DegeneratePair("x == y has no direction")
+        key = [round(v / norm / DIRECTION_RESOLUTION) for v in diff]  # the quantized unit vector
+    if antipodal and next((v for v in key if v != 0), 0) < 0:
+        key = [-v for v in key]
+    rep = tuple(key) if exact else tuple(v * DIRECTION_RESOLUTION for v in key)
+    return DirectionKey(rep=rep, antipodal_identified=antipodal, exact=exact)
 
 
 def slope_of_pair(x: Sequence, y: Sequence) -> SlopeVector:

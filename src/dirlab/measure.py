@@ -9,7 +9,6 @@ deterministic float64 summation (fixed chunk order).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ import numpy as np
 from .directions import DENSE_CELL_LIMIT
 from .errors import DepthExhausted, DirlabError, NotSeparated, PreconditionFailed, SizeLimit
 from .fitting import FitResult, fit_power_law
-from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _group_sums
+from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _fold, _fold_in
 from .geometry import _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes
 
 
@@ -228,17 +227,18 @@ def energy_integral(mu: WeightedPointSet, s):
         diffs, mult = block
         r2 = _row_sums([col * col for col in diffs.T])
         if even:
-            return _group_sums(r2, mult)
+            return _grouped_sum(r2, mult)[:2]
         return float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
 
     parts = _block_map(block_energy, _pair_differences(rows, None if mu.uniform else weights))
     if even:
-        grouped = Counter()
+        held = []
         for part in parts:
-            grouped.update(part)
+            _fold_in(held, part)
+        r2s, sums = (column.tolist() for column in _fold(held))
         k = int(value // 2)
-        common = math.lcm(*grouped)  # lcm(r2^k) = lcm(r2)^k
-        total = Fraction(sum(weight * (common // r2) ** k for r2, weight in grouped.items()), common**k)
+        common = math.lcm(*r2s)  # lcm(r2^k) = lcm(r2)^k
+        total = Fraction(sum(weight * (common // r2) ** k for r2, weight in zip(r2s, sums)), common**k)
         return 2 * Fraction(denom ** int(value), mass_denom**2) * total
     return 2.0 * sum(parts, 0.0) * (float(weights[0]) ** 2 if mu.uniform else 1.0)
 
@@ -376,7 +376,7 @@ def stopping_time_split(
 
     for level in range(1, max_depth + 1):
         code = _child_step(np.zeros(1, dtype=np.int64), rel, denom, 4)[0]
-        codes, inverse, sums = _grouped_sum(code, weights[index])
+        codes, sums, inverse = _grouped_sum(code, weights[index])
         keys = codes[:, None] >> 2 * np.arange(d - 1, -1, -1) & 3  # digit rows, in lexicographic order
         heavy = np.flatnonzero([m * c_den >= c_num * cube_mass for m in sums.tolist()])
         a, b = heavy[np.array(np.triu_indices(len(heavy), 1))]  # heavy pairs, in (a, b) order
@@ -459,7 +459,7 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     for j in range(1, depth + 1):
         code, digits = _child_step(cube, rel, denom, 2)
         rel = _descend(rel, digits, denom, 2)
-        _, cube, sums = _grouped_sum(code, w)
+        _, sums, cube = _grouped_sum(code, w)
         worst = max(worst, float(sums.max()) * (2.0**j) ** s)
     return worst
 

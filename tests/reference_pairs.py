@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from dirlab import geometry
-from dirlab.geometry import _PAIR_BLOCK, _group_sums
+from dirlab.geometry import _PAIR_BLOCK
 from dirlab.measure import _exponent
 
 
@@ -108,7 +108,8 @@ def energy_integral(mu, s):
     for diffs, mult in pair_differences(rows, None if mu.uniform else weights):
         r2 = (diffs * diffs).sum(axis=1)
         if even:
-            grouped.update(_group_sums(r2, mult))
+            for key, weight in zip(r2.tolist(), mult.tolist()):
+                grouped[key] += weight
         else:
             total += float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
     if even:

@@ -35,6 +35,7 @@ from dirlab import (
     energy_integral,
     hyperplane_sample,
     lattice_set,
+    measure,
     pps_check,
     primitive_count,
     product_cantor,
@@ -42,6 +43,7 @@ from dirlab import (
     sphere_coverage,
     sphere_coverage_sweep,
     uniform_weights,
+    WeightedPointSet,
 )
 from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _face_decompose, _flip_to_canonical, _unit_rows
 from dirlab.geometry import DirectionKey, _unique_rows
@@ -812,11 +814,12 @@ def oracle_coverage(ps, eps, antipodal):
 
 
 class TestCoverageAgainstOracle:
-    """Both hit accumulators (dense array, Counter past DENSE_CELL_LIMIT cells) per pair."""
+    """Both hit accumulators (dense array, folded sorted parts past
+    DENSE_CELL_LIMIT cells) per pair."""
 
     @pytest.mark.parametrize("antipodal", [True, False])
     @pytest.mark.parametrize("kind", ["exact", "float", "product"])
-    @pytest.mark.parametrize("eps", [5e-4, 0.05], ids=["counter", "dense"])
+    @pytest.mark.parametrize("eps", [5e-4, 0.05], ids=["sparse", "dense"])
     def test_cells_match_oracle(self, eps, kind, antipodal):
         rng = random.Random(25)
         if kind == "product":
@@ -840,6 +843,64 @@ class TestCoverageAgainstOracle:
         for code in grid.cells:
             axis, sign, *idx = grid.decode_cell(code)
             assert 0 <= axis < 8 and sign in (-1, 1) and all(0 <= i < 400 for i in idx)
+
+
+FOLD_BLOCK = 50
+FOLD_GRID = [(Fraction(a, 8), Fraction(b, 8), Fraction(c, 3)) for a in range(8) for b in range(8) for c in range(3)]
+FOLD_SETS = {
+    "product-int64": lambda: PointSet.from_points(FOLD_GRID),
+    "product-object": lambda: PointSet.from_points([tuple(v * 2**70 for v in p) for p in FOLD_GRID]),
+    "exact": lambda: PointSet.from_points(random_rational_points(random.Random(31), 120, 3, denom=97)),
+    "float": lambda: PointSet.from_points([tuple(random.Random(i).random() for _ in range(3)) for i in range(120)]),
+}
+
+
+class TestGroupedFold:
+    """Sparse coverage and the exact s = 2 energy over blocks of about
+    FOLD_BLOCK pairs, at one and two workers, on both difference paths: each block's
+    sorted part folds into the held ones, which never hold more than twice
+    the folded keys plus one block, and the result equals the per-pair
+    oracles."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(FOLD_SETS))
+    def test_cells_and_energies_match_oracles(self, kind, workers, monkeypatch):
+        ps = FOLD_SETS[kind]()
+        units = [1 + i % 5 for i in range(len(ps))]
+        uniform = [uniform_weights(ps)] if ps.mode == "exact" else []  # only exact energies fold
+        weighted = [WeightedPointSet(base=ps, masses=[Fraction(u, sum(units)) for u in units])] if uniform else []
+        fold_in, folds = geometry._fold_in, []
+        block = max(FOLD_BLOCK, len(ps))  # the pair loop takes at least one row a block
+
+        def checked(held, part):
+            if held:
+                assert sum(len(keys) for keys, _ in held) <= 2 * len(held[0][0])
+            assert len(part[0]) <= block
+            before = len(held)
+            fold_in(held, part)
+            folds.append(len(held) < before + 1)
+
+        monkeypatch.setattr(geometry, "_WORKERS", workers)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", FOLD_BLOCK)
+        monkeypatch.setattr(directions, "_fold_in", checked)
+        monkeypatch.setattr(measure, "_fold_in", checked)
+
+        def kernels(P):
+            grids = [sphere_coverage(P, 5e-4, antipodal) for antipodal in (True, False)]
+            assert all(grid.total_cells > DENSE_CELL_LIMIT for grid in grids)
+            return [grid.cells for grid in grids], [energy_integral(mu, 2) for mu in uniform]
+
+        runs = on_both_paths(kernels, ps) if kind.startswith("product") else [kernels(ps)]
+        cells = [oracle_coverage(ps, 5e-4, antipodal) for antipodal in (True, False)]
+        energies = [reference_pairs.energy_integral(mu, 2) for mu in uniform]
+        for got_cells, got_energies in runs:
+            assert got_cells == cells
+            assert all(list(grid) == sorted(grid) for grid in got_cells)  # code order
+            assert all(type(e) is Fraction for e in got_energies) and got_energies == energies
+        for mu in weighted:  # pair weights take the pair loop
+            got = energy_integral(mu, 2)
+            assert type(got) is Fraction and got == reference_pairs.energy_integral(mu, 2)
+        assert any(folds) and len(folds) > 4 * len(runs)
 
 
 @st.composite

@@ -3,7 +3,7 @@
 The block size is patched small so that modest inputs walk many blocks;
 every kernel then runs at one worker (inline) and at two or three (the
 caller plus helper threads), and the results must agree bit for bit:
-census rows, coverage cells in insertion order, float energies by hex and
+census rows, coverage cells in code order, float energies by hex and
 window masses by bytes.
 """
 
@@ -117,7 +117,7 @@ class TestWorkerCounts:
     @pytest.mark.parametrize("antipodal", [True, False])
     def test_coverage_cells(self, kind, antipodal):
         # 0.1 keeps a dense accumulator; 0.003 in d = 3 (and 1e-7 in d = 2)
-        # passes 2^20 cells and takes the Counter
+        # passes 2^20 cells and takes the fold of sorted parts
         ps = SETS[kind](np.random.default_rng(2))
         fine = 0.003 if ps.dimension == 3 else 1e-7
         pitches = [0.1, fine]
