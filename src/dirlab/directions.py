@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionFailed, SizeLimit, WrongDimension
+from .generators import DEFAULT_POINT_CAP
 from .geometry import (
     DIRECTION_RESOLUTION,
     DirectionKey,
@@ -145,7 +146,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     if n < 2:
         raise PreconditionFailed("need at least two points for directions")
     exact = P.mode == "exact"
-    arr, _ = P._scaled_rows()
+    arr, _ = P._scaled
 
     def canonical(block):
         # primitive integer vectors for exact sets, quantized unit vectors for floats
@@ -173,10 +174,13 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
 
 
 def primitive_count(q: int, d: int) -> int:
-    """Number of nonzero integer vectors in [0,q]^d with coprime entries."""
+    """Number of nonzero integer vectors in [0,q]^d with coprime entries;
+    refused past the point cap, as lattice_set(q, d) is."""
     if q < 1 or d < 2:
         raise PreconditionFailed("need q >= 1 and d >= 2")
     side = q + 1
+    if side**d > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"{side}^{d} exceeds the {DEFAULT_POINT_CAP} point cap")
     tail = np.gcd.reduce(np.indices((side,) * (d - 1)).reshape(d - 1, -1), axis=0)
     return sum(int(np.count_nonzero(np.gcd(first, tail) == 1)) for first in range(side))
 

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -62,16 +62,7 @@ class ExperimentReport:
         return all(v["passed"] for v in self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "series": self.series,
-            "exponents": self.exponents,
-            "verdicts": self.verdicts,
-            "error": self.error,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -138,10 +129,10 @@ def run_scaling_lattice(d: int, s, q_list, tolerance: float = 0.4) -> Experiment
     )
 
 
-def run_garnett_decay(depth_list, eps_rule=None) -> ExperimentReport:
+def run_garnett_decay(depth_list) -> ExperimentReport:
     """Coverage decay of the four-corner Cantor approximants.
 
-    The observation scale defaults to 16^-k, the square of the construction
+    The observation scale is 16^-k, the square of the construction
     scale.  Depth-k directions are rational slopes with denominators up to
     about 4^k, so distinct ones sit at least ~9*16^-k apart: at this pitch
     occupancy equals the direction count, which grows like 9^k against
@@ -155,14 +146,12 @@ def run_garnett_decay(depth_list, eps_rule=None) -> ExperimentReport:
         raise PreconditionFailed("need at least one depth")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise PreconditionFailed("depths must increase strictly")
-    if eps_rule is None:
-        eps_rule = lambda k: 16.0**-k
 
     system = garnett_system()
     eps_series, fractions, controls, sizes = [], [], [], []
     for k in depths:
         P = ifs_approximant(system, k)
-        eps = float(eps_rule(k))
+        eps = 16.0**-k
         grid = sphere_coverage(P, eps, antipodal=False)
         control = hyperplane_sample(3, max(2, 4**k))
         control_grid = sphere_coverage(control, eps, antipodal=False)
@@ -200,9 +189,7 @@ def run_garnett_decay(depth_list, eps_rule=None) -> ExperimentReport:
     )
 
 
-def run_adaptable_directions(
-    P: PointSet, s, label: str = "custom", ratio_threshold: float = 0.5
-) -> ExperimentReport:
+def run_adaptable_directions(P: PointSet, s, label: str = "custom") -> ExperimentReport:
     """Adaptability, direction counts, and a separated direction subset.
 
     The count/n verdict only applies when the sample is full-rank and the
@@ -237,9 +224,9 @@ def run_adaptable_directions(
     hypothesis = rank == d and s > d - 1
     if hypothesis:
         verdicts["direction_ratio"] = {
-            "passed": census.count / n >= ratio_threshold,
+            "passed": census.count / n >= 0.5,
             "observed": census.count / n,
-            "expected": f">= {ratio_threshold}",
+            "expected": ">= 0.5",
             "tolerance": 0.0,
         }
     return ExperimentReport(
@@ -262,19 +249,12 @@ def run_adaptable_directions(
 
 
 def run_slope_band(
-    d: int,
-    m: int,
-    ratio,
-    depth: int,
-    eps_list,
-    c: float | None = None,
-    band_limit: float = 10.0,
-    exponent_tolerance: float = 0.5,
+    d: int, m: int, ratio, depth: int, eps_list, c: float | None = None
 ) -> ExperimentReport:
     """Normalized slope-density integrals of a split product Cantor set.
 
     Verdict one: every integral sits inside the reference band with
-    constant at most band_limit.  Verdict two, exponent agreement with
+    constant at most 10.  Verdict two, exponent agreement with
     s-(d-1), is judged only when the deviations genuinely exercise the
     predicted envelope: the fit must be clean (>= 3 positive deviations,
     r^2 >= 0.8) and the fitted band constant must reach 1, meaning some
@@ -292,9 +272,9 @@ def run_slope_band(
     verdicts = {
         "band": {
             "passed": report.band_constant is not None
-            and report.band_constant <= band_limit,
+            and report.band_constant <= 10.0,
             "observed": report.band_constant,
-            "expected": f"<= {band_limit}",
+            "expected": "<= 10.0",
             "tolerance": 0.0,
         }
     }
@@ -304,10 +284,10 @@ def run_slope_band(
     if fit_permitted:
         verdicts["exponent"] = {
             "passed": abs(report.deviation_exponent - report.exponent_predicted)
-            <= exponent_tolerance,
+            <= 0.5,
             "observed": float(report.deviation_exponent),
             "expected": float(report.exponent_predicted),
-            "tolerance": exponent_tolerance,
+            "tolerance": 0.5,
         }
     return ExperimentReport(
         experiment="slope_band",

@@ -68,15 +68,15 @@ def garnett_system() -> IfsSystem:
     return IfsSystem(dimension=2, maps=maps)
 
 
-def _ifs_orbit(system: IfsSystem, depth: int, cap: int) -> tuple[np.ndarray, int]:
+def _ifs_orbit(system: IfsSystem, depth: int) -> tuple[np.ndarray, int]:
     """Orbit rows over their denominator, lexicographic and in lowest terms.
     With S the lcm of the map denominators, a level sends rows R over D to
     R*(ratio*S) + D*(offset*S) over D*S; orbit points stay in the unit cube,
     so entries stay below D*S and the rows stay int64 while that fits."""
     if depth < 0:
         raise PreconditionFailed("depth must be nonnegative")
-    if system.branching**depth > cap:
-        raise SizeLimit(f"{system.branching}^{depth} exceeds the {cap} point cap")
+    if system.branching**depth > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"{system.branching}^{depth} exceeds the {DEFAULT_POINT_CAP} point cap")
     scale = math.lcm(*(c.denominator for ratio, offset in system.maps for c in (ratio, *offset)))
     maps = [(int(ratio * scale), [int(c * scale) for c in offset]) for ratio, offset in system.maps]
     rows, denom = np.zeros((1, system.dimension), dtype=np.int64), 1
@@ -90,13 +90,13 @@ def _ifs_orbit(system: IfsSystem, depth: int, cap: int) -> tuple[np.ndarray, int
     return _lowest_terms(rows, denom)
 
 
-def ifs_approximant(system: IfsSystem, depth: int, cap: int = DEFAULT_POINT_CAP) -> PointSet:
+def ifs_approximant(system: IfsSystem, depth: int) -> PointSet:
     """Images of the origin under all depth-fold map compositions.
 
     Coincident images collapse, so the count is at most branching**depth
     (exactly that for non-overlapping systems like the corner Cantor one).
     """
-    return PointSet._from_scaled(*_ifs_orbit(system, depth, cap))
+    return PointSet._from_scaled(*_ifs_orbit(system, depth))
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,7 @@ def _resolve_cantor(d: int, s) -> tuple[int, Fraction]:
     return best[1], best[2]
 
 
-def product_cantor(
-    d: int,
-    s=None,
-    depth: int = 1,
-    m: int | None = None,
-    ratio=None,
-    cap: int = DEFAULT_POINT_CAP,
-) -> PointSet:
+def product_cantor(d: int, s=None, depth: int = 1, m: int | None = None, ratio=None) -> PointSet:
     """d-fold product of a depth-level middle-gap Cantor approximant.
 
     The one-dimensional factor has similarity dimension s/d, so the product
@@ -247,7 +240,7 @@ def product_cantor(
         )
     if s_value > d + 1e-12:
         raise PreconditionFailed(f"target dimension {s_value:.4f} exceeds {d}")
-    line, denom = _ifs_orbit(cantor_line_system(m, ratio), depth, cap)
-    if len(line) ** d > cap:
-        raise SizeLimit(f"{len(line)}^{d} exceeds the {cap} point cap")
+    line, denom = _ifs_orbit(cantor_line_system(m, ratio), depth)
+    if len(line) ** d > DEFAULT_POINT_CAP:
+        raise SizeLimit(f"{len(line)}^{d} exceeds the {DEFAULT_POINT_CAP} point cap")
     return PointSet._from_scaled(line[:, 0][np.indices((len(line),) * d).reshape(d, -1).T], denom)

@@ -227,13 +227,6 @@ class PointSet:
         """
         return self._scaled if self._scaled[0].dtype == np.int64 else None
 
-    def _scaled_rows(self) -> tuple[np.ndarray, int | float]:
-        """The stored ``(rows, denominator)``: float64 rows over 1.0 for float
-        sets; for exact sets integer rows, int64 within the bounds of
-        scaled_integer() and past them the slow path, Python ints in an object
-        array."""
-        return self._scaled
-
 
 def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
     """Integer rows / denom with their common gcd divided out, so denom is the
@@ -578,19 +571,6 @@ class DirectionKey:
         return tuple(float(c) / norm for c in self.rep)
 
 
-@dataclass(frozen=True, slots=True)
-class SlopeVector:
-    """The d-1 slope coordinates of a pair with distinct final coordinates."""
-
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _check_pair(x: Sequence, y: Sequence) -> str:
     if len(x) != len(y):
         raise PreconditionFailed("points must share a dimension")
@@ -626,7 +606,7 @@ def canonical_direction(x: Sequence, y: Sequence, antipodal: bool = True) -> Dir
     return DirectionKey(rep=rep, antipodal_identified=antipodal, exact=exact)
 
 
-def slope_of_pair(x: Sequence, y: Sequence) -> SlopeVector:
+def slope_of_pair(x: Sequence, y: Sequence) -> tuple:
     """Slopes ((x_i - y_i) / (x_d - y_d)) for i < d; symmetric under swap."""
     mode = _check_pair(x, y)
     d = len(x)
@@ -636,7 +616,7 @@ def slope_of_pair(x: Sequence, y: Sequence) -> SlopeVector:
         dx = [float(a) - float(b) for a, b in zip(x, y)]
     if dx[d - 1] == 0:
         raise VerticalPair("equal final coordinates have no slope vector")
-    return SlopeVector(entries=tuple(v / dx[d - 1] for v in dx[: d - 1]))
+    return tuple(v / dx[d - 1] for v in dx[: d - 1])
 
 
 def collinearity_rank(ps: PointSet) -> int:
@@ -649,7 +629,7 @@ def collinearity_rank(ps: PointSet) -> int:
     if n <= 1:
         return 0
     if ps.mode == "exact":
-        base, *rest = ps._scaled_rows()[0].tolist()
+        base, *rest = ps._scaled[0].tolist()
         basis: list[list[int]] = []
         pivots: list[int] = []
         for p in rest:

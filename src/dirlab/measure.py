@@ -20,6 +20,10 @@ from .fitting import FitResult, fit_power_law
 from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _fold, _fold_in
 from .geometry import _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes
 
+# Bits of lcm(r2)^(s/2), the common denominator an exact even-s energy forms;
+# past this an energy is refused before any power is formed.
+ENERGY_BIT_LIMIT = 1 << 17
+
 
 class WeightedPointSet:
     """Atoms with nonnegative masses summing to one.
@@ -205,7 +209,7 @@ def energy_integral(mu: WeightedPointSet, s):
     exact bases).  Exact rational arithmetic when the base and the masses are
     exact and s is a positive even integer: the integer squared distances
     r2 are grouped, and their weights summed over one common denominator,
-    the lcm of the r2^(s/2).  Float64 otherwise, from the squared distances
+    the lcm of the r2^(s/2), refused past ENERGY_BIT_LIMIT bits.  Float64 otherwise, from the squared distances
     divided by D^2, with a fixed summation order (block sums added in block
     order) so results are reproducible; coordinates at or past 2^500 are
     refused there, as by PointSet.as_array().
@@ -213,7 +217,7 @@ def energy_integral(mu: WeightedPointSet, s):
     value = _exponent(s)
     if len(mu) < 2:
         return Fraction(0) if mu.base.mode == "exact" else 0.0
-    rows, denom = mu.base._scaled_rows()
+    rows, denom = mu.base._scaled
     even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
     if not even:
         mu.base.as_array()  # refuses rows whose squared distances could overflow float64
@@ -238,6 +242,9 @@ def energy_integral(mu: WeightedPointSet, s):
         r2s, sums = (column.tolist() for column in _fold(held))
         k = int(value // 2)
         common = math.lcm(*r2s)  # lcm(r2^k) = lcm(r2)^k
+        if k * common.bit_length() > ENERGY_BIT_LIMIT:
+            raise SizeLimit(f"an exact s = {s} energy forms lcm(r^2)^{k} of {k * common.bit_length()} "
+                            f"bits, past the {ENERGY_BIT_LIMIT}-bit limit")
         total = Fraction(sum(weight * (common // r2) ** k for r2, weight in zip(r2s, sums)), common**k)
         return 2 * Fraction(denom ** int(value), mass_denom**2) * total
     return 2.0 * sum(parts, 0.0) * (float(weights[0]) ** 2 if mu.uniform else 1.0)
@@ -269,6 +276,8 @@ def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityRepo
     s = _exponent(s)
     if bound is None:
         bound = default_energy_bound(P.dimension, s)
+    if math.isnan(bound):
+        raise PreconditionFailed("the energy bound must be a number, not nan")
     radius, violation = _separation(P, s)
     offending = None if violation is None else violation[:2]
     separated = offending is None
@@ -290,7 +299,7 @@ def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityRepo
 
 def _child_step(code: np.ndarray, rel: np.ndarray, denom, base: int):
     """One level of both cube searches in base b (4 for the split, 2 for the
-    Frostman constant), on the rows over D of PointSet._scaled_rows().
+    Frostman constant), on the rows over D of PointSet._scaled.
 
     An atom keeps rel = D * b^(L-1) * (x - cube corner) in [0, D]^d.  Its
     child's digits are min(b * rel // D, b - 1), and _descend takes rel into
@@ -363,7 +372,7 @@ def stopping_time_split(
     if max_depth < 1:
         raise PreconditionFailed("max_depth must be at least 1")
     exact = mu.base.mode == "exact" and mu.exact
-    rows, denom = mu.base._scaled_rows()
+    rows, denom = mu.base._scaled
     if rows.min() < 0 or rows.max() > denom:
         raise PreconditionFailed("the measure must live in the unit cube")
     # a child is heavy when mass * c_den >= c_num * cube_mass
@@ -429,7 +438,7 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
     flips = [delta[i] < 0 for i in perm]
 
     def transform(piece: WeightedPointSet) -> WeightedPointSet:
-        rows, denom = piece.base._scaled_rows()
+        rows, denom = piece.base._scaled
         rows = rows[:, perm]
         rows[:, flips] = denom - rows[:, flips]
         return WeightedPointSet._from_weights(PointSet._from_scaled(rows, denom), *piece._weights)
@@ -451,7 +460,11 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     if depth < 1:
         raise PreconditionFailed("depth must be at least 1")
     s = _exponent(s)
-    rows, denom = mu.base._scaled_rows()
+    try:
+        (2.0**depth) ** s  # the largest factor the descent forms
+    except OverflowError:
+        raise PreconditionFailed(f"(2^{depth})^{s} overflows float64; lower the depth") from None
+    rows, denom = mu.base._scaled
     rel = np.clip(rows, 0, denom)
     w = mu.mass_array()
     worst = float(mu.total_mass())  # level 0: the unit cube itself

@@ -47,7 +47,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     if n < 2:
         raise PreconditionFailed("need at least two points for directions")
     exact = P.mode == "exact"
-    arr, _ = P._scaled_rows()
+    arr, _ = P._scaled
 
     def _key_chunks():
         for diffs, _ in _pair_differences(arr):

@@ -99,7 +99,7 @@ def energy_integral(mu, s):
     value = _exponent(s)
     if len(mu) < 2:
         return Fraction(0) if mu.base.mode == "exact" else 0.0
-    rows, denom = mu.base._scaled_rows()
+    rows, denom = mu.base._scaled
     if mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63:
         rows = rows.astype(object)
     even = mu.base.mode == "exact" and mu.exact and value % 2 == 0

@@ -237,6 +237,16 @@ class TestMeasure:
         assert code == 1
         assert json.loads(out)["separated"] is False
 
+    def test_energy_past_the_exact_bit_limit_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "square.txt", SQUARE)
+        code, out, err = run_cli(capsys, "measure", "energy", points, "--s", "1000000")
+        assert code == 2 and out == "" and err.startswith("error:") and "bit limit" in err
+
+    def test_adaptable_with_nan_bound_is_usage_error(self, tmp_path, capsys):
+        points = write_points(tmp_path, "square.txt", SQUARE)
+        code, out, err = run_cli(capsys, "measure", "adaptable", points, "--s", "1.5", "--bound", "nan")
+        assert code == 2 and out == "" and err.startswith("error:") and "nan" in err
+
     def test_adaptable_refuses_a_radius_below_the_cell_range(self, tmp_path, capsys):
         # s = 2/700 puts the radius of four points at 2^-700, so the grid
         # cells of the separation check would leave int64

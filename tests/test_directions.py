@@ -46,6 +46,7 @@ from dirlab import (
     WeightedPointSet,
 )
 from dirlab.directions import DENSE_CELL_LIMIT, DirectionKeys, _face_decompose, _flip_to_canonical, _unit_rows
+from dirlab.generators import DEFAULT_POINT_CAP
 from dirlab.geometry import DirectionKey, _unique_rows
 
 point_sets = st.lists(
@@ -367,6 +368,18 @@ class TestPrimitiveCount:
     def test_zeta_density_plane(self):
         density = primitive_count(100, 2) / 100**2
         assert abs(density - 6 / math.pi**2) <= 0.02 * 6 / math.pi**2
+
+    def test_point_cap(self):
+        # (q+1)^d at the cap is counted, past it refused before any array;
+        # the vectors with gcd k are k times those of [0, q // k]^d with gcd 1
+        def coprime(q, d):
+            return (q + 1) ** d - 1 - sum(coprime(q // k, d) for k in range(2, q + 1))
+
+        assert primitive_count(999, 2) == coprime(999, 2)
+        assert primitive_count(99, 3) == coprime(99, 3)
+        for q, d in ((1000, 2), (100, 3), (5000, 3), (10**6, 3)):
+            with pytest.raises(SizeLimit, match=f"{q + 1}\\^{d} exceeds the {DEFAULT_POINT_CAP} point cap"):
+                primitive_count(q, d)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionFailed):
@@ -1133,7 +1146,7 @@ class TestCensusPeak:
             ps = PointSet.from_points([tuple(rng.random() for _ in range(3)) for _ in range(600)], mode="float")
         else:
             ps = PointSet.from_points(random_rational_points(rng, 600, 3, denom=997))
-        assert geometry._product_axes(ps._scaled_rows()[0]) is None
+        assert geometry._product_axes(ps._scaled[0]) is None
         monkeypatch.setattr(geometry, "_WORKERS", 1)
         started = not tracemalloc.is_tracing()
         if started:

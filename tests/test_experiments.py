@@ -72,10 +72,6 @@ class TestGarnettDecay:
         assert "decay" not in report.verdicts
         assert report.passed()
 
-    def test_custom_scale_rule(self):
-        report = run_garnett_decay([1, 2], eps_rule=lambda k: 4.0**-k)
-        assert report.series["eps"] == [0.25, 0.0625]
-
     def test_depths_must_increase(self):
         with pytest.raises(PreconditionFailed):
             run_garnett_decay([3, 2])
@@ -176,6 +172,8 @@ class TestReportPlumbing:
         assert data["experiment"] == "scaling_lattice"
         assert data["series"]["q"] == [2, 4, 8]
         assert data["version"]
+        assert list(report.to_dict()) == ["experiment", "parameters", "series", "exponents",
+                                          "verdicts", "error", "version", "timestamp"]
 
 
 def write_config(path, text):

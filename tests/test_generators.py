@@ -107,8 +107,9 @@ class TestIfsApproximant:
             assert close
 
     def test_cap_enforced(self):
-        with pytest.raises(SizeLimit):
-            ifs_approximant(garnett_system(), 3, cap=63)
+        # 4^10 > 10^6: refused before any level is built
+        with pytest.raises(SizeLimit, match=f"4\\^10 exceeds the {DEFAULT_POINT_CAP} point cap"):
+            ifs_approximant(garnett_system(), 10)
 
     def test_maps_must_stay_inside(self):
         with pytest.raises(PreconditionFailed):
@@ -223,8 +224,11 @@ class TestProductCantor:
             product_cantor(2, s=1.11, depth=1)
 
     def test_cap_enforced(self):
-        with pytest.raises(SizeLimit):
-            product_cantor(2, m=3, ratio=Fraction(1, 4), depth=4, cap=1000)
+        # a 2,187-point line, whose square passes the cap, and a line past it
+        with pytest.raises(SizeLimit, match=f"2187\\^2 exceeds the {DEFAULT_POINT_CAP} point cap"):
+            product_cantor(2, m=3, ratio=Fraction(1, 4), depth=7)
+        with pytest.raises(SizeLimit, match=f"3\\^13 exceeds the {DEFAULT_POINT_CAP} point cap"):
+            product_cantor(2, m=3, ratio=Fraction(1, 4), depth=13)
 
     @given(st.integers(1, 3))
     def test_count_and_cube(self, depth):
@@ -244,8 +248,8 @@ def assert_same_point_set(built, reference):
         arr, denom = built.scaled_integer()
         assert arr.dtype == np.int64 and denom == want[1]
         assert np.array_equal(arr, want[0])
-    rows, denom = built._scaled_rows()
-    want_rows, want_denom = reference._scaled_rows()
+    rows, denom = built._scaled
+    want_rows, want_denom = reference._scaled
     assert rows.dtype == want_rows.dtype and denom == want_denom
     assert rows.tolist() == want_rows.tolist()
 
@@ -335,7 +339,7 @@ class TestGeneratorsAgainstReference:
         ],
     )
     def test_cantor_line(self, m, ratio, depth):
-        rows, denom = generators._ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)
+        rows, denom = generators._ifs_orbit(cantor_line_system(m, ratio), depth)
         axis = [p[0] for p in _ifs_orbit(cantor_line_system(m, ratio), depth, 10**6)]
         want_denom = math.lcm(*(v.denominator for v in axis))
         assert denom == want_denom

@@ -259,6 +259,15 @@ class TestEnergyIntegral:
         assert isinstance(value, Fraction)
         assert energy_integral(mu, 1) == pytest.approx(0.5)
 
+    def test_exact_power_past_the_bit_limit_refused(self):
+        # lcm(r^2) has 119 bits here: s = 2202 forms 1101 * 119 = 131,019
+        # bits, inside the limit; s = 2204 and s = 10^6 are refused unformed
+        mu = cantor_measure(2)
+        assert energy_integral(mu, 2202) > 0
+        for s in (2204, 10**6):
+            with pytest.raises(SizeLimit, match=f"{measure.ENERGY_BIT_LIMIT}-bit limit"):
+                energy_integral(mu, s)
+
     def test_half_distance_pair(self):
         ps = PointSet.from_points([(0, 0), (Fraction(1, 2), 0)])
         assert energy_integral(uniform_weights(ps), 1) == pytest.approx(1.0)
@@ -442,6 +451,10 @@ class TestAdaptability:
         assert not report.separated
         assert report.offending_pair is not None
         assert not report.passed
+
+    def test_nan_bound_refused(self):
+        with pytest.raises(PreconditionFailed, match="nan"):
+            is_adaptable(PointSet.from_points([(0, 0), (1, 0)]), 1.5, bound=float("nan"))
 
     def test_default_bound_formula(self):
         assert default_energy_bound(2, 1.5) == pytest.approx(4 * 2 * (1 + 1 / 0.5))
@@ -723,6 +736,15 @@ class TestFrostmanConstant:
     def test_lattice_constant_stays_bounded(self):
         mu = uniform_weights(lattice_set(LatticeSpec(q=8, d=2)))
         assert frostman_constant(mu, 2, 3) <= 4.0
+
+    @pytest.mark.parametrize("s, depth", [(3, 341), (1.5, 682)])
+    def test_overflowing_side_factor_refused(self, s, depth):
+        # (2^depth)^s is 2^1023 at the deepest depth float64 holds, past it one level on
+        mu = uniform_weights(lattice_set(LatticeSpec(q=3, d=2)))
+        assert frostman_constant(mu, s, depth) == 2.0**1023 / 16
+        for deeper in (depth + 1, 2000):
+            with pytest.raises(PreconditionFailed, match="overflows float64"):
+                frostman_constant(mu, s, deeper)
 
 
 def oracle_frostman(mu, s, depth):

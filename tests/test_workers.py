@@ -177,7 +177,7 @@ class TestWorkersInline:
     def test_lattice_blocks_stay_inline(self):
         # the product path yields several blocks even for 64 points
         ps = lattice_set(LatticeSpec(q=3, d=3))
-        blocks = geometry._pair_differences(ps._scaled_rows()[0])
+        blocks = geometry._pair_differences(ps._scaled[0])
         assert len(blocks.specs) > 1 and blocks.pairs <= geometry._PAIR_BLOCK
         _, started = at_workers(2, self.run_kernels, ps, block=geometry._PAIR_BLOCK)
         assert started == 0
@@ -185,7 +185,7 @@ class TestWorkersInline:
     def test_pairs_within_one_block_stay_inline(self):
         # 300 points make 44,850 pairs over 2 blocks of the default size
         ps = float_set(np.random.default_rng(6), 300, 3)
-        blocks = geometry._pair_differences(ps._scaled_rows()[0])
+        blocks = geometry._pair_differences(ps._scaled[0])
         assert len(blocks.specs) > 1 and blocks.pairs <= geometry._PAIR_BLOCK
         _, started = at_workers(4, self.run_kernels, ps, block=geometry._PAIR_BLOCK)
         assert started == 0
@@ -282,7 +282,7 @@ class TestWorkerFailures:
         # the last pair, (0, 0) and (10^-300, 0), has a float64 norm of 0
         pts = [(Fraction(i), Fraction(i * i % 17)) for i in range(1, 70)] + [(0, 0), (Fraction(1, 10**300), 0)]
         ps = PointSet.from_points(pts)
-        assert len(geometry._pair_loop(ps._scaled_rows()[0], None, block=SMALL_BLOCK).specs) > 1
+        assert len(geometry._pair_loop(ps._scaled[0], None, block=SMALL_BLOCK).specs) > 1
         for workers in (1, 2):
             with pytest.raises(PreconditionFailed, match="too close"):
                 at_workers(workers, sphere_coverage_sweep, ps, [0.1])
@@ -347,7 +347,7 @@ class TestWorkersStayOffTheViews:
 
             monkeypatch.setattr(owner, name, property(get))
 
-        for name in ("as_array", "scaled_integer", "_scaled_rows"):
+        for name in ("as_array", "scaled_integer"):
             watch(PointSet, name, getattr(PointSet, name))
         watch(WeightedPointSet, "mass_array", WeightedPointSet.mass_array)
         watch(WeightedPointSet, "total_mass", WeightedPointSet.total_mass)
