@@ -22,7 +22,7 @@ from .generators import IfsSystem, LatticeSpec, garnett_system, hyperplane_sampl
 from .generators import ifs_approximant, lattice_set, lipschitz_graph_sample
 from .generators import product_cantor
 from .geometry import read_point_set, write_point_set
-from .measure import is_adaptable, energy_integral, slope_band_sweep, slope_density
+from .measure import is_adaptable, _float_energy, energy_integral, slope_band_sweep, slope_density
 from .measure import stopping_time_split, uniform_weights
 
 
@@ -186,7 +186,7 @@ def _cmd_directions_separate(args):
 def _cmd_measure_energy(args):
     mu = uniform_weights(read_point_set(args.points))
     value = energy_integral(mu, args.s)
-    _emit(args, "energy", {"s": args.s, "n": len(mu), "energy": float(value)})
+    _emit(args, "energy", {"s": args.s, "n": len(mu), "energy": _float_energy(value)})
     return 0
 
 

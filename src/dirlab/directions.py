@@ -8,8 +8,9 @@ scalar definitions because keys are integers before deduplication.
 
 Both read pair differences from geometry._pair_differences: each distinct
 difference once with its pair count on a Cartesian-product support with
-fewer distinct differences than pairs, every pair otherwise.  Keys, cells
-and hit counts are identical on both paths.
+fewer distinct differences than pairs, or on a dense subset of a grid (the
+grid path; for coverage only over a power-of-two denominator), every pair
+otherwise.  Keys, cells and hit counts are identical on every path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .geometry import (
 # Chart cells up to which coverage counts hits in a dense int64 array (8 MB).
 DENSE_CELL_LIMIT = 1 << 20
 # Keys a census may hold: it refuses, before its walk, a set whose pairs (or
-# distinct differences, on the product path) pass this.  In d = 3 a census
+# distinct differences, on the product and grid paths) pass this.  In d = 3 a census
 # peaks at about twice the 24 bytes a key it holds, so this is about 3.2 GB;
 # it refuses float sets from 11,586 points on.
 CENSUS_KEY_LIMIT = 1 << 26
@@ -157,7 +158,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
             q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
         return _flip_to_canonical(q)
 
-    blocks = _pair_differences(arr)
+    blocks = _pair_differences(arr, grid=P._scaled)
     if blocks.pairs > CENSUS_KEY_LIMIT:
         raise SizeLimit(f"a census of {blocks.pairs} pair differences passes the "
                         f"{CENSUS_KEY_LIMIT} key budget (CENSUS_KEY_LIMIT)")
@@ -333,7 +334,10 @@ def sphere_coverage_sweep(
                 hits.append((acc, _grouped_sum(code, mult)[:2] if isinstance(acc, list) else code))
         return mult, hits
 
-    for mult, hits in _block_map(chart, _pair_differences(P.as_array())):
+    denom = P._scaled[1]
+    # on the grid path, binary denominators keep each difference's float bits
+    grid = P._scaled if P.mode == "exact" and denom & (denom - 1) == 0 else None
+    for mult, hits in _block_map(chart, _pair_differences(P.as_array(), grid=grid)):
         for acc, hit in hits:
             if isinstance(acc, list):
                 _fold_in(acc, hit)

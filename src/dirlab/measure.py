@@ -250,6 +250,15 @@ def energy_integral(mu: WeightedPointSet, s):
     return 2.0 * sum(parts, 0.0) * (float(weights[0]) ** 2 if mu.uniform else 1.0)
 
 
+def _float_energy(value) -> float:
+    """An energy_integral value as a float, refused with SizeLimit when an
+    exact energy lies past the float64 range."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SizeLimit("the exact energy lies past the float64 range (about 1.8e308)") from exc
+
+
 @dataclass(frozen=True)
 class AdaptabilityReport:
     n: int
@@ -281,7 +290,7 @@ def is_adaptable(P: PointSet, s, bound: float | None = None) -> AdaptabilityRepo
     radius, violation = _separation(P, s)
     offending = None if violation is None else violation[:2]
     separated = offending is None
-    energy = float(energy_integral(uniform_weights(P, s=s), s))
+    energy = _float_energy(energy_integral(uniform_weights(P, s=s), s))
     return AdaptabilityReport(
         n=len(P),
         s=s,

@@ -199,12 +199,19 @@ def refuse_pair_loop(*args, **kwargs):
     raise PairLoopCalled
 
 
+def force_pair_loop(mp):
+    """Turn the product and the grid difference paths off, so every set
+    walks its pairs."""
+    mp.setattr(geometry, "_product_axes", lambda arr: None)
+    mp.setattr(geometry, "_grid_differences", lambda *args: None)
+
+
 def on_both_paths(fn, P):
-    """(fn(P) on the product difference path, fn(P) on the pair loop).
+    """(fn(P) on a distinct-difference path, fn(P) on the pair loop).
 
     The first run fails if the pair loop starts.  A set whose distinct
     differences are not fewer than its pairs never takes the product
-    path, so it is discarded.
+    path, so it is discarded unless the grid path takes it.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_pair_loop", refuse_pair_loop)
@@ -213,6 +220,6 @@ def on_both_paths(fn, P):
         except PairLoopCalled:
             assume(False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_product_axes", lambda arr: None)
+        force_pair_loop(mp)
         pair = fn(P)
     return product, pair

@@ -164,9 +164,9 @@ class TestDirections:
         ]
         passes = []
 
-        def pair_differences(arr, weights=None):
+        def pair_differences(arr, weights=None, **paths):
             passes.append(len(arr))
-            return geometry._pair_differences(arr, weights)
+            return geometry._pair_differences(arr, weights, **paths)
 
         monkeypatch.setattr(directions, "_pair_differences", pair_differences)
         code, out, _ = run_cli(capsys, "directions", "coverage", points, "--eps", "0.3", "0.1", "0.05", "--signed")
@@ -241,6 +241,12 @@ class TestMeasure:
         points = write_points(tmp_path, "square.txt", SQUARE)
         code, out, err = run_cli(capsys, "measure", "energy", points, "--s", "1000000")
         assert code == 2 and out == "" and err.startswith("error:") and "bit limit" in err
+
+    @pytest.mark.parametrize("command", [["energy"], ["adaptable", "--bound", "5"]], ids=["energy", "adaptable"])
+    def test_energy_past_float64_is_usage_error(self, command, tmp_path, capsys):
+        points = write_points(tmp_path, "close.txt", "2 2 exact\n0 0\n1/1000000 0\n")
+        code, out, err = run_cli(capsys, "measure", command[0], points, "--s", "100", *command[1:])
+        assert code == 2 and out == "" and err.startswith("error:") and "float64" in err
 
     def test_adaptable_with_nan_bound_is_usage_error(self, tmp_path, capsys):
         points = write_points(tmp_path, "square.txt", SQUARE)

@@ -1,6 +1,8 @@
 """Direction censuses, primitive counts, coverage grids, separation."""
 
+import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -12,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    force_pair_loop,
     key_to_oracle_form,
     min_pairwise_gap,
     on_both_paths,
@@ -34,7 +37,10 @@ from dirlab import (
     distinct_directions,
     energy_integral,
     hyperplane_sample,
+    IfsSystem,
+    ifs_approximant,
     lattice_set,
+    lipschitz_graph_sample,
     measure,
     pps_check,
     primitive_count,
@@ -1052,8 +1058,8 @@ class TestSignedByNegation:
         ps = PointSet.from_points(rng.random((800, 3)).tolist())
         blocks, decomposed = [], []
 
-        def pair_differences(arr, weights=None):
-            for diffs, mult in geometry._pair_differences(arr, weights):
+        def pair_differences(arr, weights=None, **paths):
+            for diffs, mult in geometry._pair_differences(arr, weights, **paths):
                 blocks.append(len(diffs))
                 yield diffs, mult
 
@@ -1168,6 +1174,15 @@ def walk_refused(*args, **kwargs):
     raise AssertionError("the census walked its pairs")
 
 
+@functools.lru_cache
+def sierpinski(depth):
+    """The Sierpinski gasket's depth-fold IFS orbit: 3^depth points of the
+    2^depth grid, over 2^depth; not a product."""
+    half = Fraction(1, 2)
+    maps = tuple((half, (Fraction(a), Fraction(b))) for a, b in ((0, 0), (half, 0), (0, half)))
+    return ifs_approximant(IfsSystem(dimension=2, maps=maps), depth)
+
+
 class TestCensusBudget:
     """The census refuses, before its walk, a set whose pair differences
     (its bound on held keys) pass CENSUS_KEY_LIMIT."""
@@ -1197,8 +1212,27 @@ class TestCensusBudget:
         want = [distinct_directions(ps, antipodal) for antipodal in (True, False)]
         monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 364)
         assert [distinct_directions(ps, antipodal) for antipodal in (True, False)] == want
-        monkeypatch.setattr(geometry, "_product_axes", lambda arr: None)
+        monkeypatch.setattr(geometry, "_product_axes", lambda arr: None)  # the grid path counts them too
+        assert [distinct_directions(ps, antipodal) for antipodal in (True, False)] == want
+        force_pair_loop(monkeypatch)
         with pytest.raises(SizeLimit, match="7750 pair differences"):
+            distinct_directions(ps)
+
+    def test_sierpinski_depth_9_counts_its_distinct_differences(self, monkeypatch):
+        # 19,683 points: 193,700,403 pairs, past the budget, but 392,448
+        # distinct differences (and 238,788 keys, both counted pair by pair
+        # once, outside the suite)
+        ps = sierpinski(9)
+        assert 19_683 * 19_682 // 2 > directions.CENSUS_KEY_LIMIT
+        census = distinct_directions(ps)
+        assert census.count == 238_788 and distinct_directions(ps, False).count == 2 * 238_788
+        monkeypatch.setattr(directions, "_unique_rows", walk_refused)
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 392_447)
+        with pytest.raises(SizeLimit, match="392448 pair differences passes the 392447 key budget"):
+            distinct_directions(ps)
+        monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 1 << 26)
+        force_pair_loop(monkeypatch)
+        with pytest.raises(SizeLimit, match="193700403 pair differences"):
             distinct_directions(ps)
 
 
@@ -1251,3 +1285,151 @@ class TestReadOnlyMultiplicity:
             for got, want in energies:
                 assert type(got) is type(want)
                 assert got == want if isinstance(want, Fraction) else got.hex() == want.hex()
+
+
+
+@st.composite
+def dense_grid_sets(draw):
+    """Random subsets of a shifted grid {0..side}^d over a power-of-two or
+    other denominator, with more pairs than _GRID_PAIRS_PER_CELL a cell of
+    their box of differences, so the grid path takes them."""
+    d = draw(st.sampled_from((2, 3)))
+    side = draw(st.integers(5, 7) if d == 2 else st.integers(3, 4))
+    box = (2 * side + 1) ** d
+    least = next(n for n in itertools.count(2) if n * (n - 1) // 2 > geometry._GRID_PAIRS_PER_CELL * box)
+    cells = list(itertools.product(range(side + 1), repeat=d))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    picked = rng.sample(cells, rng.randint(least, min(least + 20, len(cells) - 1)))
+    shift = [rng.randint(-side, side) for _ in range(d)]
+    denom = draw(st.sampled_from((1, 2, 16, 3, 12, 10)))
+    return PointSet.from_points([tuple(Fraction(c + s, denom) for c, s in zip(p, shift)) for p in picked])
+
+
+def counting_pair_loop(mp):
+    """Wrap geometry._pair_loop; the returned list counts its calls."""
+    calls, loop = [], geometry._pair_loop
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return loop(*args, **kwargs)
+
+    mp.setattr(geometry, "_pair_loop", counting)
+    return calls
+
+
+class TestGridDifferences:
+    """The grid path (one FFT autocorrelation of the indicator) against the
+    pair loop, reference_census and oracle_coverage: census rows, cells and
+    hits equal, signed and identified, at 1 and 2 workers over blocks of 40
+    differences.  Census keys take the grid path at any denominator,
+    coverage only at a power of two."""
+
+    PITCHES = [0.05, 5e-4]  # a dense and, in d = 3, a sparse accumulator
+
+    @given(dense_grid_sets())
+    def test_against_pair_loop_and_oracles(self, ps):
+        rows, denom = ps._scaled
+        assume(geometry._product_axes(rows) is None)
+        dyadic = denom & (denom - 1) == 0
+
+        def kernels():
+            return ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
+                    [[g.cells for g in sphere_coverage_sweep(ps, self.PITCHES, antipodal)]
+                     for antipodal in (True, False)])
+
+        runs = []
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "_WORKERS", workers)
+                mp.setattr(geometry, "_PAIR_BLOCK", 40)
+                calls = counting_pair_loop(mp)
+                runs.append(kernels())
+                assert len(calls) == (0 if dyadic else 2)
+        with pytest.MonkeyPatch.context() as mp:
+            force_pair_loop(mp)
+            pair = kernels()
+        for censuses, cells in runs:
+            assert [c.keys.rows.tolist() for c in censuses] == [c.keys.rows.tolist() for c in pair[0]]
+            assert cells == pair[1]
+        for antipodal, census, grids in zip((True, False), *pair):
+            assert set(census.keys) == reference_census.distinct_directions(ps, antipodal).keys
+            assert grids == [oracle_coverage(ps, eps, antipodal) for eps in self.PITCHES]
+
+    def test_blocks_hold_each_distinct_difference_once(self):
+        ps = sierpinski(5)
+        (rows, denom), view = ps._scaled, ps.as_array()
+        span = np.ptp(rows, axis=0).tolist()
+        blocks = geometry._grid_differences(rows, span)
+        diffs, mult = (np.concatenate(column) for column in zip(*blocks))
+        want, floats = collections.Counter(), set()
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            delta, fdelta = tuple((rows[j] - rows[i]).tolist()), tuple((view[j] - view[i]).tolist())
+            flip = delta < (0, 0)
+            want[tuple(-v for v in delta) if flip else delta] += 1
+            floats.add(tuple(-v for v in fdelta) if flip else fdelta)
+        assert blocks.pairs == len(diffs) == len(want)
+        assert dict(zip(map(tuple, diffs.tolist()), mult.tolist())) == want
+        assert not any(m.flags.writeable for _, m in blocks)
+        # over the power-of-two denominator, the float view's differences bit for bit
+        fdiffs = np.concatenate([d for d, _ in geometry._grid_differences(rows, span, denom)])
+        assert fdiffs.dtype == np.float64 and set(map(tuple, fdiffs.tolist())) == floats
+
+    def test_fast_length_is_the_least_5_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 3000):
+            assert geometry._fast_length(n) == next(m for m in itertools.count(n) if smooth(m))
+
+
+class TestGridPath:
+    """Which difference path runs, and the rounding guard of the grid path."""
+
+    def test_sierpinski_never_starts_the_pair_loop(self, monkeypatch):
+        ps = sierpinski(7)  # 2,187 points, 2,390,391 pairs, 24,384 distinct differences
+        monkeypatch.setattr(geometry, "_pair_loop", refuse_pair_loop)
+        census = distinct_directions(ps)
+        grids = sphere_coverage_sweep(ps, [0.02, 0.01], antipodal=False)
+        assert census.count == 14_874
+        assert all(sum(g.cells.values()) == g.n_pairs == 2 * 2_390_391 for g in grids)
+
+    def test_non_dyadic_coverage_and_lipschitz_walk_their_pairs(self, monkeypatch):
+        calls = counting_pair_loop(monkeypatch)
+        thirds = PointSet._from_scaled(sierpinski(5)._scaled[0], 3)  # the same rows over 3
+        distinct_directions(thirds)
+        assert calls == []
+        sphere_coverage_sweep(thirds, [0.05])
+        assert calls == [243]
+        lip = lipschitz_graph_sample(3, 1500)  # box of 10,953^2 x 5,477 differences
+        distinct_directions(lip)
+        sphere_coverage_sweep(lip, [0.05])
+        assert calls == [243, len(lip), len(lip)]
+
+    @pytest.mark.parametrize("fault", ["rounding", "zero", "positive", "negative"])
+    def test_guard_falls_back_to_the_pair_loop(self, fault, monkeypatch):
+        # 243 points on the 32 x 32 grid: 29,403 pairs, a 63 x 63 box
+        ps = sierpinski(5)
+        want = ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
+                [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
+        irfftn = np.fft.irfftn
+
+        def faulty(*args, **kwargs):
+            corr = irfftn(*args, **kwargs)
+            if fault == "rounding":
+                return corr + 0.4
+            # differences 0, (1, 0) (present) and (-31, -31) (absent, negative half)
+            corr[{"zero": (0, 0), "positive": (1, 0), "negative": (-31, -31)}[fault]] += \
+                -1 if fault == "negative" else 1
+            return corr
+
+        monkeypatch.setattr(np.fft, "irfftn", faulty)
+        calls = counting_pair_loop(monkeypatch)
+        assert geometry._grid_differences(ps._scaled[0], [31, 31]) is None
+        got = ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
+               [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
+        assert calls == [243] * 3
+        assert [c.keys.rows.tolist() for c in got[0]] == [c.keys.rows.tolist() for c in want[0]]
+        assert got[1] == want[1]

@@ -456,6 +456,14 @@ class TestAdaptability:
         with pytest.raises(PreconditionFailed, match="nan"):
             is_adaptable(PointSet.from_points([(0, 0), (1, 0)]), 1.5, bound=float("nan"))
 
+    def test_energy_past_float64_refused(self):
+        # two points 10^-6 apart: the exact s = 100 energy is 10^600 / 2
+        ps = PointSet.from_points([(0, 0), (Fraction(1, 10**6), 0)])
+        assert energy_integral(uniform_weights(ps), 100) == Fraction(10**600, 2)
+        with pytest.raises(SizeLimit, match="float64"):
+            is_adaptable(ps, 100, bound=5.0)
+        assert is_adaptable(ps, 50, bound=5.0).energy == 5e299
+
     def test_default_bound_formula(self):
         assert default_energy_bound(2, 1.5) == pytest.approx(4 * 2 * (1 + 1 / 0.5))
         with pytest.raises(PreconditionFailed):
