@@ -6,11 +6,12 @@ cell pitch.  Heavy paths run chunked through numpy, each block in the
 worker that fills it (geometry._block_map); results are identical to the
 scalar definitions because keys are integers before deduplication.
 
-Both read pair differences from geometry._pair_differences: each distinct
-difference once with its pair count on a Cartesian-product support with
-fewer distinct differences than pairs, or on a dense subset of a grid (the
-grid path; for coverage only over a power-of-two denominator), every pair
-otherwise.  Keys, cells and hit counts are identical on every path.
+Both read pair differences from geometry._pair_differences on the path
+the set's difference plan chose once: each distinct difference with its
+pair count (a product support or a dense subset of a grid), or every pair.
+The census takes any path; coverage needs the float view's bits, so it
+takes the grid path only over a power-of-two denominator.  Keys, cells
+and hit counts are identical on every path.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
             q = np.rint(_unit_rows(diffs) / DIRECTION_RESOLUTION).astype(np.int64)
         return _flip_to_canonical(q)
 
-    blocks = _pair_differences(arr, grid=P._scaled)
+    blocks = _pair_differences(P)
     if blocks.pairs > CENSUS_KEY_LIMIT:
         raise SizeLimit(f"a census of {blocks.pairs} pair differences passes the "
                         f"{CENSUS_KEY_LIMIT} key budget (CENSUS_KEY_LIMIT)")
@@ -334,10 +335,7 @@ def sphere_coverage_sweep(
                 hits.append((acc, _grouped_sum(code, mult)[:2] if isinstance(acc, list) else code))
         return mult, hits
 
-    denom = P._scaled[1]
-    # on the grid path, binary denominators keep each difference's float bits
-    grid = P._scaled if P.mode == "exact" and denom & (denom - 1) == 0 else None
-    for mult, hits in _block_map(chart, _pair_differences(P.as_array(), grid=grid)):
+    for mult, hits in _block_map(chart, _pair_differences(P, floats=True)):
         for acc, hit in hits:
             if isinstance(acc, list):
                 _fold_in(acc, hit)

@@ -17,13 +17,13 @@ class FitResult:
 def fit_power_law(xs, ys) -> FitResult | None:
     """Fit y = exp(b) * x^a by least squares on (log x, log y).
 
-    Pairs with a nonpositive entry cannot be logged and are dropped; fewer
-    than three usable points yields None rather than a guessed exponent.
+    Pairs with an entry that is not positive and finite cannot be logged and
+    are dropped; fewer than three usable points yields None.
     """
     logs = [
         (math.log(float(x)), math.log(float(y)))
         for x, y in zip(xs, ys)
-        if float(x) > 0 and float(y) > 0
+        if 0 < float(x) < math.inf and 0 < float(y) < math.inf
     ]
     n = len(logs)
     if n < 3:

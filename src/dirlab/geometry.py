@@ -110,6 +110,7 @@ class PointSet:
     _scaled: tuple = field(repr=False)
     _points: tuple | None = field(default=None, repr=False)
     _array: np.ndarray | None = field(default=None, repr=False)
+    _plan: "_DifferencePlan | None" = field(default=None, repr=False)
 
     @classmethod
     def from_points(cls, raw_points: Iterable[Sequence], mode: str | None = None) -> "PointSet":
@@ -227,6 +228,25 @@ class PointSet:
         """
         return self._scaled if self._scaled[0].dtype == np.int64 else None
 
+    def _difference_plan(self) -> "_DifferencePlan":
+        """This set's _DifferencePlan, made from the stored rows on first use
+        and cached like ``points``."""
+        if self._plan is None:
+            rows, n = self._scaled[0], len(self)
+            pairs, axes, span = n * (n - 1) // 2, _product_axes(rows), None
+            # an axis of m values has at most m(m - 1) + 1 differences: below
+            # the pairs whenever two axes hold several values; else count them
+            distinct = math.prod(len(a) * (len(a) - 1) + 1 for a in axes) // 2 if axes else pairs
+            if axes and distinct >= pairs:
+                distinct = math.prod(len(_cross_diff_histogram(a, a)[0]) for a in axes) // 2
+            if rows.dtype == np.int64:
+                span = np.ptp(rows, axis=0).tolist()
+                cells = math.prod(2 * s + 1 for s in span)
+                span = span if cells <= _GRID_CELL_LIMIT and pairs > _GRID_PAIRS_PER_CELL * cells else None
+            path, count = ("product", None) if distinct < pairs else ("grid", None) if span else ("pairs", pairs)
+            self._plan = _DifferencePlan(path, count, axes, span)
+        return self._plan
+
 
 def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
     """Integer rows / denom with their common gcd divided out, so denom is the
@@ -239,12 +259,9 @@ def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
 
 # Target pair count for one block of pair differences.
 _PAIR_BLOCK = 75_000
-# The grid path (_grid_differences) takes a set whose box of differences,
-# prod(2 * span + 1) cells, holds at most _GRID_CELL_LIMIT cells (8 MB a
-# float64 array) and fewer than its pairs / _GRID_PAIRS_PER_CELL.  On random
-# subsets of grids in d = 2 and 3, census and two-pitch coverage broke even
-# with the pair loop at 0.7-1.2 pairs a cell on boxes from 4,913 cells on,
-# at about 2 on 2,401 cells, and lost at most 0.2 ms up to 5 below 1,000.
+# The grid gate (PointSet._difference_plan): a box of differences of at most
+# _GRID_CELL_LIMIT cells (8 MB a float64 array) and over _GRID_PAIRS_PER_CELL
+# pairs a cell, where census and coverage broke even (README, "The cut-over").
 _GRID_CELL_LIMIT = 1 << 20
 _GRID_PAIRS_PER_CELL = 2
 
@@ -336,13 +353,8 @@ def _ordered_map(fill, specs, workers: int):
 def _product_axes(arr: np.ndarray) -> list | None:
     """Each column's sorted distinct values when the rows, distinct as in every
     PointSet, are exactly their Cartesian product; None otherwise."""
-    axes, count = [], 1
-    for k in range(arr.shape[1]):
-        axes.append(np.unique(arr[:, k]))
-        count *= len(axes[-1])
-        if count > len(arr):
-            return None
-    return axes if count == len(arr) else None
+    axes = [_sorted_unique(col) for col in arr.T]
+    return axes if math.prod(map(len, axes)) == len(arr) else None
 
 
 def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
@@ -421,17 +433,10 @@ def _product_differences(hists: list) -> _Blocks:
 
 def _fast_length(n: int) -> int:
     """The least 2^a 3^b 5^c >= n, a length numpy's FFT transforms fast."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = p35
-            while length < n:
-                length *= 2
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
+    # each odd part p below 2n (a power of two lies in [n, 2n)), times the
+    # least power of two that takes it to n
+    odd = [3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length())]
+    return min(p << ((n - 1) // p).bit_length() for p in odd if p < 2 * n)
 
 
 def _grid_differences(rows: np.ndarray, span: list, denom=None) -> _Blocks | None:
@@ -482,38 +487,67 @@ def _grid_differences(rows: np.ndarray, span: list, denom=None) -> _Blocks | Non
     return _Blocks(fill, range(0, len(flat), block), len(flat))
 
 
-def _pair_differences(arr: np.ndarray, weights: np.ndarray | None = None, grid: tuple | None = None):
-    """Blocks of (difference rows, multiplicity) with one row per unordered pair.
+@dataclass
+class _DifferencePlan:
+    """The path _pair_differences takes for a set's unweighted pairs: the
+    product path on a product support with fewer distinct differences than
+    pairs, else the grid path when int64 rows pass the grid gate, else the
+    pair loop.  count is the differences its blocks hold: the n(n-1)/2 pairs
+    on the pair loop; the distinct ones on the other paths, once a walk of
+    the row differences has counted them (None before).  axes (each column's
+    sorted distinct values) are kept whenever the rows are their Cartesian
+    product, and span (each axis's span) whenever they pass the gate,
+    whatever the path."""
+
+    path: str
+    count: int | None
+    axes: list | None
+    span: list | None
+
+
+def _float_axes(P: PointSet) -> list | None:
+    """The plan's axes over the denominator in float64, each value that of
+    P.as_array(); None off a product support, and where two values of an
+    axis meet in float64 (possible only for rows past int64)."""
+    axes = P._difference_plan().axes
+    axes = axes and [np.asarray(a / P._scaled[1], dtype=np.float64) for a in axes]
+    return axes if axes and all((a[1:] > a[:-1]).all() for a in axes) else None
+
+
+def _pair_differences(P: PointSet, weights: np.ndarray | None = None, floats: bool = False, grid: bool = True):
+    """Blocks of (difference rows, multiplicity), one row per unordered pair
+    of P's stored rows, or of P.as_array() when the caller needs its floats.
 
     A pair {x, y} gives x - y or y - x, with multiplicity 1 (int64) or
-    weights[x] * weights[y].  Unweighted, two paths give each distinct
-    difference once instead, first nonzero entry positive, with its pair
-    count, and ``pairs`` counts the distinct differences:
-    - a product support with fewer distinct differences than pairs
-      (_product_differences); entries are a - b of the same axis values;
-    - given grid, the (rows, denom) of arr, int64 rows with arr either rows
-      or rows / denom for a power-of-two denom, so that every difference of
-      arr is the row difference over denom bit for bit: a set with more
-      than _GRID_PAIRS_PER_CELL pairs a cell of its box of differences,
-      prod(2 * span + 1) cells of at most _GRID_CELL_LIMIT
-      (_grid_differences).
-    The rows are bit-identical on every path.  Every block is an (m, d) view
-    with contiguous columns, so diffs[:, k] reads one coordinate without a
-    stride.
+    weights[x] * weights[y].  Unweighted, P's plan may give each distinct
+    difference once, first nonzero entry positive, with its pair count (and
+    ``pairs`` counts them): on the product path, floats from the histograms
+    of _float_axes while those too are fewer than the pairs; on the grid
+    path, unless the caller refuses it (grid), floats only over int64 rows
+    and a power-of-two denominator, the only ones over which every float
+    difference is the row difference over the denominator bit for bit.  A
+    failed FFT turns the plan to the pair loop.  Rows are bit-identical on
+    every path, and every block is an (m, d) view with contiguous columns.
     """
-    n = len(arr)
-    if weights is None and (axes := _product_axes(arr)) is not None:
-        hists = [_cross_diff_histogram(a, a) for a in axes]
-        if math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
-            return _product_differences(hists)
-    if weights is None and grid is not None and grid[0].dtype == np.int64:
-        span = np.ptp(grid[0], axis=0).tolist()
-        cells = math.prod(2 * s + 1 for s in span)
-        if cells <= _GRID_CELL_LIMIT and n * (n - 1) // 2 > _GRID_PAIRS_PER_CELL * cells:
-            blocks = _grid_differences(grid[0], span, grid[1] if arr.dtype.kind == "f" else None)
-            if blocks is not None:
-                return blocks
-    return _pair_loop(arr, weights)
+    rows, denom = P._scaled
+    arr, n = P.as_array() if floats else rows, len(rows)
+    over = denom if floats and P.mode == "exact" else None  # the D floats divide by
+    same_bits = over is None or (rows.dtype == np.int64 and not over & (over - 1))
+    plan, blocks = P._difference_plan() if weights is None else None, None
+    path = plan and plan.path
+    if path == "product":
+        hists = [_cross_diff_histogram(a, a) for a in (_float_axes(P) if floats else plan.axes) or []]
+        if hists and math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
+            blocks = _product_differences(hists)
+    elif path == "grid" and grid and same_bits:
+        blocks = _grid_differences(rows, plan.span, over)
+        if blocks is None:
+            plan.path, plan.count = "pairs", n * (n - 1) // 2
+    if blocks is None:
+        return _pair_loop(arr, weights)
+    if same_bits:
+        plan.count = blocks.pairs
+    return blocks
 
 
 def _grouped_sum(keys: np.ndarray, values: np.ndarray):

@@ -18,7 +18,7 @@ from .directions import DENSE_CELL_LIMIT
 from .errors import DepthExhausted, DirlabError, NotSeparated, PreconditionFailed, SizeLimit
 from .fitting import FitResult, fit_power_law
 from .geometry import _IN_FLIGHT, _PAIR_BLOCK, PointSet, _block_map, _cross_diff_histogram, _fold, _fold_in
-from .geometry import _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop, _product_axes
+from .geometry import _float_axes, _grouped_sum, _lowest_terms, _over_lcm, _pair_differences, _pair_loop
 
 # Bits of lcm(r2)^(s/2), the common denominator an exact even-s energy forms;
 # past this an energy is refused before any power is formed.
@@ -206,7 +206,8 @@ def energy_integral(mu: WeightedPointSet, s):
     """Sum over ordered pairs of m_i * m_j * |p_i - p_j|^(-s).
 
     One pass over the pair differences of the stored rows (integers over D for
-    exact bases).  Exact rational arithmetic when the base and the masses are
+    exact bases), never on the grid path, whose blocks would move the pinned
+    bits of float sums.  Exact rational arithmetic when the base and the masses are
     exact and s is a positive even integer: the integer squared distances
     r2 are grouped, and their weights summed over one common denominator,
     the lcm of the r2^(s/2), refused past ENERGY_BIT_LIMIT bits.  Float64 otherwise, from the squared distances
@@ -221,20 +222,21 @@ def energy_integral(mu: WeightedPointSet, s):
     even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
     if not even:
         mu.base.as_array()  # refuses rows whose squared distances could overflow float64
-    if mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63:
-        rows = rows.astype(object)  # Python ints wherever |x - y|^2 could overflow int64
+    # Python ints wherever |x - y|^2 could overflow int64
+    wide = mu.base.mode == "exact" and 4 * mu.base.dimension * int(np.abs(rows).max()) ** 2 >= 1 << 63
     # Exact masses enter as integer numerators (all 1 for uniform masses, which
     # keeps the product path open); pair weights stay below denominator^2.
     weights, mass_denom = mu._weights if even else (mu.mass_array(), 1.0)
 
     def block_energy(block):
         diffs, mult = block
+        diffs = diffs.astype(object, copy=False) if wide else diffs
         r2 = _row_sums([col * col for col in diffs.T])
         if even:
             return _grouped_sum(r2, mult)[:2]
         return float((mult * (r2 / denom**2) ** (-value / 2.0)).sum())
 
-    parts = _block_map(block_energy, _pair_differences(rows, None if mu.uniform else weights))
+    parts = _block_map(block_energy, _pair_differences(mu.base, None if mu.uniform else weights, grid=False))
     if even:
         held = []
         for part in parts:
@@ -510,24 +512,12 @@ class SlopeDensityField:
 
 
 def _min_cross_gap(vals1: np.ndarray, vals2: np.ndarray) -> float:
-    a = np.sort(vals1)
+    """The least |a - b| over a in vals1 and b in vals2: each a against its
+    neighbours in sorted vals2."""
     b = np.sort(vals2)
-    pos = np.searchsorted(b, a)
-    best = math.inf
-    right = pos < len(b)
-    if right.any():
-        best = min(best, float(np.min(np.abs(b[pos[right]] - a[right]))))
-    left = pos > 0
-    if left.any():
-        best = min(best, float(np.min(np.abs(b[pos[left] - 1] - a[left]))))
-    return best
-
-
-def _axis_pair_table(col1: np.ndarray, col2: np.ndarray):
-    """Sorted distinct cross differences with cumulative pair counts."""
-    values, counts = _cross_diff_histogram(col1, col2)
-    prefix = np.concatenate([[0.0], np.cumsum(counts)])
-    return values, prefix
+    pos = np.searchsorted(b, vals1)
+    left, right = b[np.maximum(pos - 1, 0)], b[np.minimum(pos, len(b) - 1)]
+    return float(np.minimum(np.abs(left - vals1), np.abs(right - vals1)).min())
 
 
 def _scaled_window(a, lo, hi):
@@ -551,20 +541,22 @@ def _window_masses_product(mu1, mu2, windows) -> list | None:
     masses on product supports; None for any other pair of measures.
 
     On a product support a pair count factors over axes into per-axis
-    value-pair counts, so histograms run on the distinct axis values, never
-    the full columns.  The axes, the last-axis denominator histogram and the
-    per-axis pair tables are built once for every window.  The work per
-    window is bounded by the distinct last-axis cross differences, which
-    never outnumber the pairs."""
+    value-pair counts, so histograms run on the distinct axis values of the
+    supports' difference plans (_float_axes), never the full columns.  The
+    last-axis denominator histogram and the per-axis pair tables (sorted
+    distinct cross differences, cumulative pair counts) are built once for
+    every window.  The work per window is bounded by the distinct last-axis
+    cross differences, which never outnumber the pairs."""
     if not (mu1.uniform and mu2.uniform):
         return None
-    axes1, axes2 = (_product_axes(mu.base.as_array()) for mu in (mu1, mu2))
+    axes1, axes2 = (_float_axes(mu.base) for mu in (mu1, mu2))
     if axes1 is None or axes2 is None:
         return None
     d = len(axes1)
     w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
     den_vals, den_counts = _cross_diff_histogram(axes1[-1], axes2[-1])
-    tables = [_axis_pair_table(axes1[i], axes2[i]) for i in range(d - 1)]
+    tables = [(values, np.concatenate([[0.0], np.cumsum(counts)]))
+              for values, counts in map(_cross_diff_histogram, axes1[:-1], axes2[:-1])]
     spec = _EINSUM[d - 1]
     masses = []
     for lo, hi in windows:

@@ -9,6 +9,7 @@ comparisons so no float division ever enters the expected values.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -199,19 +200,47 @@ def refuse_pair_loop(*args, **kwargs):
     raise PairLoopCalled
 
 
+def steer_plans(mp, paths):
+    """From here on every set's difference plan takes the first of its own
+    paths (product, grid, pairs) that paths allows.  Each call gets a copy
+    of the set's cached plan, which stays as it was."""
+    plan_of = PointSet._difference_plan
+
+    def steered(P):
+        plan = copy.copy(plan_of(P))
+        if plan.path == "product" and "product" not in paths:
+            plan.path, plan.count = "grid", None
+        if plan.path == "grid" and ("grid" not in paths or plan.span is None):
+            plan.path, plan.count = "pairs", len(P) * (len(P) - 1) // 2
+        return plan
+
+    mp.setattr(PointSet, "_difference_plan", steered)
+
+
 def force_pair_loop(mp):
-    """Turn the product and the grid difference paths off, so every set
-    walks its pairs."""
-    mp.setattr(geometry, "_product_axes", lambda arr: None)
-    mp.setattr(geometry, "_grid_differences", lambda *args: None)
+    """Steer every set's plan to the pair loop, so every set walks its pairs."""
+    steer_plans(mp, ("pairs",))
+
+
+def counting_pair_loop(mp):
+    """Wrap geometry._pair_loop; the returned list counts its calls."""
+    calls, loop = [], geometry._pair_loop
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return loop(*args, **kwargs)
+
+    mp.setattr(geometry, "_pair_loop", counting)
+    return calls
 
 
 def on_both_paths(fn, P):
     """(fn(P) on a distinct-difference path, fn(P) on the pair loop).
 
-    The first run fails if the pair loop starts.  A set whose distinct
-    differences are not fewer than its pairs never takes the product
-    path, so it is discarded unless the grid path takes it.
+    The first run fails if the pair loop starts, the second if it never
+    does.  A set whose distinct differences are not fewer than its pairs
+    never takes the product path, so it is discarded unless the grid path
+    takes it.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_pair_loop", refuse_pair_loop)
@@ -221,5 +250,7 @@ def on_both_paths(fn, P):
             assume(False)
     with pytest.MonkeyPatch.context() as mp:
         force_pair_loop(mp)
+        calls = counting_pair_loop(mp)
         pair = fn(P)
+        assert calls, "the pair-loop run never walked its pairs"
     return product, pair

@@ -50,7 +50,7 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     arr, _ = P._scaled
 
     def _key_chunks():
-        for diffs, _ in _pair_differences(arr):
+        for diffs, _ in _pair_differences(P):
             if exact:
                 q = diffs // np.gcd.reduce(np.abs(diffs), axis=1)[:, None]
             else:

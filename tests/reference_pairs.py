@@ -62,15 +62,16 @@ def product_differences(hists):
             yield rows, mult
 
 
-def pair_differences(arr, weights=None):
-    """The library's path choice (geometry._product_axes, read at call time
-    so on_both_paths steers it) over the row-major blocks above."""
-    n = len(arr)
-    if weights is None and (axes := geometry._product_axes(arr)) is not None:
-        hists = [geometry._cross_diff_histogram(a, a) for a in axes]
-        if math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
-            return product_differences(hists)
-    return pair_loop(arr, weights)
+def pair_differences(P, rows, weights=None):
+    """The energy's path choice over the row-major blocks above: the product
+    path when P's difference plan (read at call time, so on_both_paths
+    steers it) takes it, else the pair loop; rows are P's stored rows,
+    possibly as Python ints."""
+    plan = P._difference_plan()
+    if weights is None and plan.path == "product":
+        return product_differences([geometry._cross_diff_histogram(*[a.astype(rows.dtype)] * 2)
+                                    for a in plan.axes])
+    return pair_loop(rows, weights)
 
 
 def face_decompose(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +106,7 @@ def energy_integral(mu, s):
     even = mu.base.mode == "exact" and mu.exact and value % 2 == 0
     weights, mass_denom = mu._weights if even else (mu.mass_array(), 1.0)
     grouped, total = Counter(), 0.0
-    for diffs, mult in pair_differences(rows, None if mu.uniform else weights):
+    for diffs, mult in pair_differences(mu.base, rows, None if mu.uniform else weights):
         r2 = (diffs * diffs).sum(axis=1)
         if even:
             for key, weight in zip(r2.tolist(), mult.tolist()):

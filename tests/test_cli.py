@@ -164,9 +164,9 @@ class TestDirections:
         ]
         passes = []
 
-        def pair_differences(arr, weights=None, **paths):
-            passes.append(len(arr))
-            return geometry._pair_differences(arr, weights, **paths)
+        def pair_differences(P, *args, **kwargs):
+            passes.append(len(P))
+            return geometry._pair_differences(P, *args, **kwargs)
 
         monkeypatch.setattr(directions, "_pair_differences", pair_differences)
         code, out, _ = run_cli(capsys, "directions", "coverage", points, "--eps", "0.3", "0.1", "0.05", "--signed")

@@ -14,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    counting_pair_loop,
     force_pair_loop,
     key_to_oracle_form,
     min_pairwise_gap,
@@ -22,6 +23,7 @@ from conftest import (
     product_point_sets,
     random_rational_points,
     refuse_pair_loop,
+    steer_plans,
 )
 import reference_census
 import reference_pairs
@@ -1058,8 +1060,8 @@ class TestSignedByNegation:
         ps = PointSet.from_points(rng.random((800, 3)).tolist())
         blocks, decomposed = [], []
 
-        def pair_differences(arr, weights=None, **paths):
-            for diffs, mult in geometry._pair_differences(arr, weights, **paths):
+        def pair_differences(P, *args, **kwargs):
+            for diffs, mult in geometry._pair_differences(P, *args, **kwargs):
                 blocks.append(len(diffs))
                 yield diffs, mult
 
@@ -1201,7 +1203,7 @@ class TestCensusBudget:
     def test_default_refuses_float_sets_from_11586_points(self, monkeypatch):
         assert directions.CENSUS_KEY_LIMIT == 1 << 26
         rows = np.random.default_rng(11).random((11_586, 3))
-        assert geometry._pair_differences(rows[:-1]).pairs <= directions.CENSUS_KEY_LIMIT
+        assert geometry._pair_differences(PointSet._from_scaled(rows[:-1], 1.0)).pairs <= directions.CENSUS_KEY_LIMIT
         monkeypatch.setattr(directions, "_unique_rows", walk_refused)
         with pytest.raises(SizeLimit, match="67111905 pair differences"):
             distinct_directions(PointSet._from_scaled(rows, 1.0))
@@ -1212,7 +1214,7 @@ class TestCensusBudget:
         want = [distinct_directions(ps, antipodal) for antipodal in (True, False)]
         monkeypatch.setattr(directions, "CENSUS_KEY_LIMIT", 364)
         assert [distinct_directions(ps, antipodal) for antipodal in (True, False)] == want
-        monkeypatch.setattr(geometry, "_product_axes", lambda arr: None)  # the grid path counts them too
+        steer_plans(monkeypatch, ("grid", "pairs"))  # the grid path counts them too
         assert [distinct_directions(ps, antipodal) for antipodal in (True, False)] == want
         force_pair_loop(monkeypatch)
         with pytest.raises(SizeLimit, match="7750 pair differences"):
@@ -1303,18 +1305,6 @@ def dense_grid_sets(draw):
     shift = [rng.randint(-side, side) for _ in range(d)]
     denom = draw(st.sampled_from((1, 2, 16, 3, 12, 10)))
     return PointSet.from_points([tuple(Fraction(c + s, denom) for c, s in zip(p, shift)) for p in picked])
-
-
-def counting_pair_loop(mp):
-    """Wrap geometry._pair_loop; the returned list counts its calls."""
-    calls, loop = [], geometry._pair_loop
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return loop(*args, **kwargs)
-
-    mp.setattr(geometry, "_pair_loop", counting)
-    return calls
 
 
 class TestGridDifferences:
@@ -1410,8 +1400,9 @@ class TestGridPath:
 
     @pytest.mark.parametrize("fault", ["rounding", "zero", "positive", "negative"])
     def test_guard_falls_back_to_the_pair_loop(self, fault, monkeypatch):
-        # 243 points on the 32 x 32 grid: 29,403 pairs, a 63 x 63 box
-        ps = sierpinski(5)
+        # 243 points on the 32 x 32 grid: 29,403 pairs, a 63 x 63 box; a
+        # fresh copy, since a failed FFT turns its set's plan to the pair loop
+        ps = PointSet._from_scaled(*sierpinski(5)._scaled)
         want = ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
                 [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
         irfftn = np.fft.irfftn
@@ -1433,3 +1424,96 @@ class TestGridPath:
         assert calls == [243] * 3
         assert [c.keys.rows.tolist() for c in got[0]] == [c.keys.rows.tolist() for c in want[0]]
         assert got[1] == want[1]
+
+
+class TestDifferencePlan:
+    """Each set's difference plan: the path it takes, read from the plan;
+    the product test and grid gate run once per set; a failed FFT turns the
+    plan to the pair loop; and steering a plan leaves the cached one as it is."""
+
+    def test_lattice_plans_product(self):
+        ps = lattice_set(LatticeSpec(q=8, d=3))  # 729 points, 265,356 pairs
+        plan = ps._difference_plan()
+        assert (plan.path, plan.count) == ("product", None)
+        assert [a.tolist() for a in plan.axes] == [list(range(9))] * 3
+        assert plan.span == [8, 8, 8]  # the grid gate passes too, but the product path comes first
+        distinct_directions(ps)
+        assert ps._difference_plan() is plan and plan.count == (17**3 - 1) // 2
+        # on an axis-parallel line the bound on distinct differences meets the
+        # pairs, so they are counted: 9 of 45, but 6 of 6 on the Sidon set 0, 1, 3, 7
+        line = PointSet.from_points([(k, 0) for k in range(10)])
+        sidon = PointSet.from_points([(k, 0) for k in (0, 1, 3, 7)])
+        assert [line._difference_plan().path, sidon._difference_plan().path] == ["product", "pairs"]
+
+    def test_sierpinski_depth_7_plans_grid(self):
+        ps = PointSet._from_scaled(*sierpinski(7)._scaled)  # a fresh copy, planned here
+        plan = ps._difference_plan()
+        assert (plan.path, plan.count, plan.axes, plan.span) == ("grid", None, None, [127, 127])
+        assert distinct_directions(ps).count == 14_874
+        assert (plan.path, plan.count) == ("grid", 24_384)
+
+    def test_float_sets_and_weighted_measures_walk_pairs(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        floats = PointSet.from_points(rng.random((50, 3)).tolist(), mode="float")
+        plan = floats._difference_plan()
+        assert (plan.path, plan.count, plan.axes, plan.span) == ("pairs", 1225, None, None)
+        lattice = lattice_set(LatticeSpec(q=3, d=2))
+        assert lattice._difference_plan().path == "product"
+        units = rng.integers(1, 5, size=len(lattice)).tolist()
+        weighted = WeightedPointSet(base=lattice, masses=[Fraction(u, sum(units)) for u in units])
+        calls = counting_pair_loop(monkeypatch)
+        distinct_directions(floats)
+        sphere_coverage_sweep(floats, [0.1])
+        for s in (2, 1.5):
+            energy_integral(weighted, s)
+        assert calls == [50, 50, 16, 16]
+
+    def test_each_set_tests_for_a_product_once(self, monkeypatch):
+        from dirlab import slope_band_sweep
+
+        calls, axes = [], geometry._product_axes
+        monkeypatch.setattr(geometry, "_product_axes", lambda rows: calls.append(len(rows)) or axes(rows))
+        cantor = product_cantor(2, m=3, ratio=Fraction(1, 4), depth=3)
+        sets = [cantor, PointSet._from_scaled(*sierpinski(5)._scaled),
+                PointSet.from_points(np.random.default_rng(18).random((40, 3)).tolist(), mode="float")]
+        for P in sets:
+            mu = uniform_weights(P)
+            for antipodal in (True, False):
+                distinct_directions(P, antipodal)
+                sphere_coverage_sweep(P, [0.1, 0.01], antipodal)
+            for s in (2, 1.5):
+                energy_integral(mu, s)
+        assert calls == [len(P) for P in sets]
+        report = slope_band_sweep(uniform_weights(cantor), 1.58, [1 / 8, 1 / 16])
+        assert len(report.integrals) == 2 and len(calls) == len(sets) + 2  # the two oriented pieces
+
+    def test_failed_fft_turns_the_plan_to_pairs(self, monkeypatch):
+        rows, denom = sierpinski(5)._scaled  # 243 points, 29,403 pairs; denominator 32
+        want = distinct_directions(PointSet._from_scaled(rows, denom))
+        ps = PointSet._from_scaled(rows, denom)
+        irfftn, ffts = np.fft.irfftn, []
+        monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kwargs: irfftn(*args, **kwargs) + 0.4)
+        grid_differences = geometry._grid_differences
+        monkeypatch.setattr(geometry, "_grid_differences",
+                            lambda *args: ffts.append(len(args[0])) or grid_differences(*args))
+        calls = counting_pair_loop(monkeypatch)
+        got = distinct_directions(ps)
+        assert ffts == [243] and calls == [243]
+        assert (ps._difference_plan().path, ps._difference_plan().count) == ("pairs", 243 * 242 // 2)
+        assert got.keys.rows.tolist() == want.keys.rows.tolist()
+        distinct_directions(ps, False)
+        sphere_coverage_sweep(ps, [0.05])  # a power-of-two denominator: the grid path, had the FFT held
+        assert ffts == [243] and calls == [243] * 3
+
+    def test_steering_walks_pairs_and_keeps_the_cached_plan(self, monkeypatch):
+        ps = lattice_set(LatticeSpec(q=3, d=2))
+        plan = ps._difference_plan()
+        assert plan.path == "product"  # planned before either run
+        calls = counting_pair_loop(monkeypatch)
+        product, pair = on_both_paths(lambda P: [distinct_directions(P, a) for a in (True, False)], ps)
+        assert calls == [16, 16] and product == pair
+        assert ps._difference_plan() is plan and plan.path == "product"
+        with pytest.MonkeyPatch.context() as mp:
+            steer_plans(mp, ("grid", "pairs"))
+            assert ps._difference_plan().path == "grid"  # q = 3, d = 2: 120 pairs over a 49-cell box
+        assert ps._difference_plan() is plan and plan.path == "product"

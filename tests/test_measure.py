@@ -1082,14 +1082,14 @@ class TestWindowPlan:
         assert [mass.tolist() for mass in planned] == [mass.tolist() for mass in alone]
 
     @staticmethod
-    def count(monkeypatch, name):
+    def count(monkeypatch, name, module=measure):
         calls = []
-        fn = getattr(measure, name)
-        monkeypatch.setattr(measure, name, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs))
         return calls
 
     def test_product_sweep_builds_each_piece_once(self, monkeypatch):
-        gaps, axes = self.count(monkeypatch, "_min_cross_gap"), self.count(monkeypatch, "_product_axes")
+        gaps, axes = self.count(monkeypatch, "_min_cross_gap"), self.count(monkeypatch, "_product_axes", geometry)
         monkeypatch.setattr(measure, "_pair_loop", None)  # the product path walks no pairs
         report = slope_band_sweep(cantor_measure(3), CANTOR_S, [1 / 8, 1 / 16, 1 / 32])
         assert len(gaps) == 1 and len(axes) == 2 and len(report.integrals) == 3
@@ -1418,3 +1418,17 @@ class TestEnergyAgainstRowMajor:
         weights = rng.random(60)
         for mu in (uniform_weights(P), WeightedPointSet(base=P, masses=(weights / weights.sum()).tolist())):
             assert self.same(energy_integral(mu, 1.5), reference_pairs.energy_integral(mu, 1.5))
+
+
+class TestFitPowerLaw:
+    """Pairs that cannot be logged are dropped before the fit."""
+
+    def test_infinite_entries_are_dropped(self):
+        from dirlab import fit_power_law
+
+        assert fit_power_law([1, 2, math.inf], [1, 1, 3]) is None  # two usable points left
+        for xs, ys in (([1, 2, 4, math.inf], [3, 6, 12, 5]), ([1, 2, 4, 8], [3, 6, 12, math.inf]),
+                       ([1, 2, 4, 8], [3, 6, 12, math.nan]), ([-1, 1, 2, 4], [5, 3, 6, 12])):
+            fit = fit_power_law(xs, ys)
+            assert fit.n_points == 3 and fit.slope == pytest.approx(1.0) and fit.r_squared == pytest.approx(1.0)
+            assert fit.intercept == pytest.approx(math.log(3))

@@ -177,7 +177,7 @@ class TestWorkersInline:
     def test_lattice_blocks_stay_inline(self):
         # the product path yields several blocks even for 64 points
         ps = lattice_set(LatticeSpec(q=3, d=3))
-        blocks = geometry._pair_differences(ps._scaled[0])
+        blocks = geometry._pair_differences(ps)
         assert len(blocks.specs) > 1 and blocks.pairs <= geometry._PAIR_BLOCK
         _, started = at_workers(2, self.run_kernels, ps, block=geometry._PAIR_BLOCK)
         assert started == 0
@@ -185,7 +185,7 @@ class TestWorkersInline:
     def test_pairs_within_one_block_stay_inline(self):
         # 300 points make 44,850 pairs over 2 blocks of the default size
         ps = float_set(np.random.default_rng(6), 300, 3)
-        blocks = geometry._pair_differences(ps._scaled[0])
+        blocks = geometry._pair_differences(ps)
         assert len(blocks.specs) > 1 and blocks.pairs <= geometry._PAIR_BLOCK
         _, started = at_workers(4, self.run_kernels, ps, block=geometry._PAIR_BLOCK)
         assert started == 0
