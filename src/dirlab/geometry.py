@@ -100,9 +100,9 @@ class PointSet:
     coordinate denominators: int64 within MAX_DENOMINATOR and MAX_NUMERATOR,
     Python ints in an object array past them.  Float sets keep float64 rows
     over 1.0.  ``points`` and ``as_array()`` are views built on first use.
-    Every set is made by ``_from_scaled``, or by ``_take`` from one that was;
-    treat instances as immutable, since the cached arrays are shared between
-    callers.
+    Every set is made by ``_from_scaled``, or by ``_take`` or ``_relabel``
+    from one that was; treat instances as immutable, since the cached arrays
+    are shared between callers.
     """
 
     dimension: int
@@ -183,6 +183,20 @@ class PointSet:
         rows = rows[index]
         scaled = (rows, denom) if self.mode == "float" else _lowest_terms(rows, denom)
         return PointSet(dimension=self.dimension, mode=self.mode, _scaled=scaled)
+
+    def _relabel(self, perm: list, flips: list) -> "PointSet":
+        """The set with its columns in the order perm and the flipped ones
+        reflected, x -> 1 - x (rows D - v).  Float rows are checked again by
+        _from_scaled, since 1.0 - x rounds; exact rows stay distinct and, as
+        gcd(D, v) = gcd(D, D - v), in lowest terms, so only their int64 form
+        is decided again."""
+        rows, denom = self._scaled
+        rows = rows[:, perm]
+        rows[:, flips] = denom - rows[:, flips]
+        if self.mode == "float":
+            return PointSet._from_scaled(rows, denom)
+        rows = rows.astype(np.int64 if _fits(denom, rows.min(), rows.max()) else object, copy=False)
+        return PointSet(dimension=self.dimension, mode=self.mode, _scaled=(rows, denom))
 
     @property
     def points(self) -> tuple:
@@ -506,11 +520,12 @@ class _DifferencePlan:
 
 
 def _float_axes(P: PointSet) -> list | None:
-    """The plan's axes over the denominator in float64, each value that of
-    P.as_array(); None off a product support, and where two values of an
-    axis meet in float64 (possible only for rows past int64)."""
+    """The plan's axes over the denominator in float64 by _float_rows, each
+    value that of P.as_array() and refused where it refuses; None off a
+    product support, and where two values of an axis meet in float64
+    (possible only for rows past int64)."""
     axes = P._difference_plan().axes
-    axes = axes and [np.asarray(a / P._scaled[1], dtype=np.float64) for a in axes]
+    axes = axes and [_float_rows(a, P._scaled[1]) for a in axes]
     return axes if axes and all((a[1:] > a[:-1]).all() for a in axes) else None
 
 

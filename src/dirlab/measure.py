@@ -334,6 +334,24 @@ def _descend(rel: np.ndarray, digits, denom, base: int) -> np.ndarray:
     return base * rel - digits * denom
 
 
+def _child_masses(code: np.ndarray, weights: np.ndarray, d: int, uniform: bool):
+    """The sorted codes of the children holding atoms, and their masses
+    summed exactly in the weights' dtype and in atom order: by one
+    np.bincount of the codes, all in [0, 4^d), up to DENSE_CELL_LIMIT
+    children (the counts times the one numerator of a uniform exact
+    measure, else np.add.at into a dense array), by a grouped sum past it."""
+    cells = 4**d
+    if cells > DENSE_CELL_LIMIT:
+        return _grouped_sum(code, weights)[:2]
+    counts = np.bincount(code, minlength=cells)
+    codes = np.flatnonzero(counts)
+    if uniform:
+        return codes, counts[codes] * weights[0]
+    sums = np.zeros(cells, dtype=weights.dtype)
+    np.add.at(sums, code, weights)
+    return codes, sums[codes]
+
+
 @dataclass
 class CubeSplit:
     """Two heavy, coordinate-separated quarter-cube pieces of a measure.
@@ -369,11 +387,11 @@ def stopping_time_split(
     no qualifying pair, recursion descends into the heaviest child.
 
     Children are found by _child_step in base 4 on the stored rows, and
-    their masses by one grouped sum of the measure's weights: integer
-    numerators over its mass denominator for exact measures, floats in atom
-    order otherwise, so the heavy-child test compares ints or floats.  Only
-    the atoms of the child the search descends into are taken into it
-    (_descend), and the pieces are subsets of a checked set (PointSet._take).
+    their masses by _child_masses: integer numerators over the measure's
+    mass denominator for exact measures, floats in atom order otherwise, so
+    the heavy-child test compares ints or floats.  Only the atoms of the
+    child the search descends into are taken into it (_descend), and the
+    pieces are subsets of a checked set (PointSet._take).
     """
     d = mu.base.dimension
     if c is None:
@@ -396,7 +414,7 @@ def stopping_time_split(
 
     for level in range(1, max_depth + 1):
         code = _child_step(np.zeros(1, dtype=np.int64), rel, denom, 4)[0]
-        codes, sums, inverse = _grouped_sum(code, weights[index])
+        codes, sums = _child_masses(code, weights if level == 1 else weights[index], d, exact and mu.uniform)
         keys = codes[:, None] >> 2 * np.arange(d - 1, -1, -1) & 3  # digit rows, in lexicographic order
         heavy = np.flatnonzero([m * c_den >= c_num * cube_mass for m in sums.tolist()])
         a, b = heavy[np.array(np.triu_indices(len(heavy), 1))]  # heavy pairs, in (a, b) order
@@ -409,7 +427,7 @@ def stopping_time_split(
             side = Fraction(1, 4 ** (level - 1)) if exact else 4.0 ** (1 - level)
             return CubeSplit(
                 pieces=tuple(WeightedPointSet._from_weights(mu.base._take(sel), weights[sel], sums.item(t))
-                             for t in (a, b) for sel in [index[inverse == t]]),
+                             for t in (a, b) for sel in [index[code == codes[t]]]),
                 piece_masses=tuple(Fraction(sums.item(t), total) if exact else sums.item(t) for t in (a, b)),
                 level=level,
                 sep_coordinate=d - 1 - int(np.argmax(gaps[best, ::-1])),  # the last widest gap
@@ -423,7 +441,7 @@ def stopping_time_split(
 
         top = int(np.argmax(sums))  # the heaviest child; the smallest code on ties
         corner, cube_mass = [4 * v + k for v, k in zip(corner, keys[top].tolist())], sums.item(top)
-        keep = inverse == top
+        keep = code == codes[top]
         index, rel = index[keep], _descend(rel[keep], keys[top].astype(rel.dtype), denom, 4)
 
     raise DepthExhausted(max_depth)
@@ -435,8 +453,8 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
     The separating coordinate moves to the last position and becomes the
     slope denominator; coordinates whose child-index offset disagrees in
     sign with the denominator offset are reflected (x -> 1-x, on the
-    integer rows D - v) so expected slopes come out positive.  Reflections
-    and permutations change no pairwise geometry.
+    integer rows D - v, by PointSet._relabel) so expected slopes come out
+    positive.  Reflections and permutations change no pairwise geometry.
     """
     a, b = split.child_indices
     k = split.sep_coordinate
@@ -449,10 +467,7 @@ def orient_split_for_slopes(split: CubeSplit) -> tuple[WeightedPointSet, Weighte
     flips = [delta[i] < 0 for i in perm]
 
     def transform(piece: WeightedPointSet) -> WeightedPointSet:
-        rows, denom = piece.base._scaled
-        rows = rows[:, perm]
-        rows[:, flips] = denom - rows[:, flips]
-        return WeightedPointSet._from_weights(PointSet._from_scaled(rows, denom), *piece._weights)
+        return WeightedPointSet._from_weights(piece.base._relabel(perm, flips), *piece._weights)
 
     first, second = split.pieces
     if split.child_indices != (a, b):
@@ -521,9 +536,15 @@ def _min_cross_gap(vals1: np.ndarray, vals2: np.ndarray) -> float:
 
 
 def _scaled_window(a, lo, hi):
-    """Bounds a*[lo, hi] per denominator a of either sign, one row per a."""
+    """Bounds a*[lo, hi] per denominator a of either sign, one row per a;
+    a is sorted, so the rows a <= 0, which swap the ends, come first."""
+    k = int(a.searchsorted(0, side="right"))
     a = a[:, None]
-    return np.where(a > 0, a * lo, a * hi), np.where(a > 0, a * hi, a * lo)
+    low, high = np.empty((2, len(a), len(lo)))
+    for rows, first, last in ((slice(None, k), hi, lo), (slice(k, None), lo, hi)):
+        np.multiply(a[rows], first, out=low[rows])
+        np.multiply(a[rows], last, out=high[rows])
+    return low, high
 
 
 def _interval_counts(values, prefix, lo, hi):
@@ -696,16 +717,21 @@ def _window_masses(mu1, mu2, windows) -> list:
 
 def _check_slope_inputs(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
     """The least gap between the two supports' final coordinates, refused
-    unless positive, for measures of one dimension from 2 through 4."""
+    unless positive, for measures of one dimension from 2 through 4.  When
+    both measures are uniform, the window's product condition, a support
+    on a product reads its final coordinates' distinct values from its
+    difference plan's axes (_float_axes), which the window builds anyway."""
     if mu1.base.dimension != mu2.base.dimension:
         raise PreconditionFailed("both measures must share one dimension")
-    gap = _min_cross_gap(mu1.base.as_array()[:, -1], mu2.base.as_array()[:, -1])
+    if mu1.base.dimension - 1 not in _EINSUM:
+        raise PreconditionFailed("slope densities support dimensions 2 through 4")
+    finals = [axes[-1] if axes else mu.base.as_array()[:, -1]
+              for mu in (mu1, mu2) for axes in [mu1.uniform and mu2.uniform and _float_axes(mu.base)]]
+    gap = _min_cross_gap(*finals)
     if gap <= 0:
         raise PreconditionFailed(
             "supports share a final coordinate; relabel the separated coordinate last"
         )
-    if mu1.base.dimension - 1 not in _EINSUM:
-        raise PreconditionFailed("slope densities support dimensions 2 through 4")
     return gap
 
 

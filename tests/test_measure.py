@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -371,6 +371,15 @@ class TestFloatRangeRefusals:
         with pytest.raises(PreconditionFailed, match="2\\^500"):
             mu1.base.as_array()
 
+    @pytest.mark.parametrize("axes", [([0, 2**600], [2, 3]), ([0, 1], [2, 2**500])], ids=["first", "last"])
+    def test_slope_windows_refuse_on_product_supports(self, axes):
+        # uniform product pairs read their plans' axes, never the float view
+        mu1 = uniform_weights(PointSet.from_points(list(itertools.product(*axes))))
+        mu2 = uniform_weights(PointSet.from_points(list(itertools.product([0, 1], [-1, 0]))))
+        for call in (lambda: slope_chart_pair_mass(mu1, mu2), lambda: slope_density(mu1, mu2, 0.1)):
+            with pytest.raises(PreconditionFailed, match="2\\^500"):
+                call()
+
 
 class TestEnergyPaths:
     """Energies on the product difference path against the pair loop."""
@@ -593,18 +602,19 @@ class TestOrientSplit:
 
 
 @st.composite
-def split_measures(draw):
-    """Small measures in the unit cube for the split oracle.
+def split_measures(draw, dims=(2, 3), max_zoom=2):
+    """Small measures in the unit cube for the split oracle, of a dimension
+    in dims.
 
     Points k/den (den mostly not a power of 4, k = den giving x = 1) are
-    packed into one cube of side 4^-zoom, so the split descends zoom levels
-    before it can stop; points on the far face of that cube sit on a child
-    boundary.  Masses are uniform exact, non-uniform exact (zeros allowed),
-    float on an exact base, or float on a float base.
+    packed into one cube of side 4^-zoom, zoom <= max_zoom, so the split
+    descends zoom levels before it can stop; points on the far face of that
+    cube sit on a child boundary.  Masses are uniform exact, non-uniform
+    exact (zeros allowed), float on an exact base, or float on a float base.
     """
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from(dims))
     den = draw(st.sampled_from([3, 5, 6, 7, 8, 10, 12, 16, 20, 24, 48]))
-    zoom = draw(st.integers(0, 2))
+    zoom = draw(st.integers(0, max_zoom))
     cell = [draw(st.integers(0, 4**zoom - 1)) for _ in range(d)]
     raw = draw(st.sets(st.tuples(*[st.integers(0, den)] * d), min_size=2, max_size=14))
     points = [
@@ -729,6 +739,123 @@ class TestSplitTiesAgainstReference:
         assert mu._weights[0].dtype == dtype
         split = assert_matches_reference(mu, Fraction(1, 4**len(cells[0])))
         assert split.level == 1
+
+
+class TestChildMassesAgainstReference:
+    """The split's child masses from dense counts, level by level against
+    the grouped sum of the same codes and weights, and the whole split
+    against the Fraction reference; past DENSE_CELL_LIMIT children the
+    grouped sum itself runs."""
+
+    @staticmethod
+    def split_checking_levels(mu, c, max_depth=8):
+        """assert_matches_reference(mu, c, max_depth) with every level's
+        child masses checked; returns the split and the grouped sums the
+        split ran itself."""
+        grouped, child_masses = [], measure._child_masses
+
+        def checked(code, weights, d, uniform):
+            codes, sums = child_masses(code, weights, d, uniform)
+            want_codes, want_sums = geometry._grouped_sum(code, weights)[:2]
+            assert codes.dtype == want_codes.dtype and codes.tolist() == want_codes.tolist()
+            assert sums.dtype == want_sums.dtype and sums.tolist() == want_sums.tolist()
+            return codes, sums
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measure, "_child_masses", checked)
+            mp.setattr(measure, "_grouped_sum", lambda *args: grouped.append(args) or geometry._grouped_sum(*args))
+            split = assert_matches_reference(mu, c, max_depth)
+        return split, grouped
+
+    @given(split_measures(dims=(2, 3, 4), max_zoom=3))
+    def test_dense_counts_match(self, drawn):
+        split, grouped = self.split_checking_levels(*drawn)
+        assert grouped == []
+        event(f"level {split and split.level}")
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted", "float"])
+    def test_descends_to_level_three(self, kind):
+        # every atom sits in child (1, 2, 0) of the unit cube, then in child (2, 1, 3) of that
+        corner = [Fraction(1, 4) + Fraction(2, 16), Fraction(2, 4) + Fraction(1, 16), Fraction(3, 16)]
+        pts = [tuple(x + Fraction(k, 160) for x, k in zip(corner, p))
+               for p in itertools.product(range(0, 10, 3), repeat=3)]
+        mu = self.measure_of(pts, kind)
+        split, _ = self.split_checking_levels(mu, Fraction(1, 64))
+        assert split.level == 3
+
+    @staticmethod
+    def measure_of(pts, kind):
+        if kind == "uniform":
+            return uniform_weights(PointSet.from_points(pts))
+        masses = [Fraction(1 + i % 4) for i in range(len(pts))]
+        masses = [m / sum(masses) for m in masses]
+        if kind == "float":
+            return WeightedPointSet(PointSet.from_points([tuple(map(float, p)) for p in pts]), tuple(map(float, masses)))
+        return WeightedPointSet(PointSet.from_points(pts), tuple(masses))
+
+    @pytest.mark.parametrize("kind", ["uniform", "weighted", "float"])
+    def test_eleven_dimensions_take_the_grouped_sum(self, kind):
+        # 4^11 children pass DENSE_CELL_LIMIT; the atoms share child 0 at level one
+        assert 4**10 <= DENSE_CELL_LIMIT < 4**11
+        rng = random.Random(11)
+        pts = sorted({tuple(Fraction(rng.randint(0, 7), 32) for _ in range(11)) for _ in range(12)})
+        split, grouped = self.split_checking_levels(self.measure_of(pts, kind), Fraction(1, 64))
+        assert split.level == 2 and len(grouped) == 2
+
+
+class TestOrientedPieceForm:
+    """Exact oriented pieces are built from checked pieces without a second
+    check, yet hold the rows, dtype and denominator _from_scaled gives the
+    same rows; float pieces are checked again."""
+
+    @staticmethod
+    def assert_checked_form(P):
+        rows, denom = P._scaled
+        want_rows, want_denom = PointSet._from_scaled(rows.copy(), denom)._scaled
+        assert want_denom == denom and want_rows.dtype == rows.dtype
+        assert want_rows.tolist() == rows.tolist()
+
+    @given(split_measures(dims=(2, 3, 4)))
+    def test_split_pieces(self, drawn):
+        mu, c = drawn
+        assume(mu.base.mode == "exact")
+        try:
+            split = stopping_time_split(mu, c=c)
+        except DepthExhausted:
+            assume(False)
+        for piece in orient_split_for_slopes(split):
+            self.assert_checked_form(piece.base)
+
+    @pytest.mark.parametrize("mu", [cantor_measure(3), cantor_measure(4)], ids=["depth3", "depth4"])
+    def test_cantor_pieces(self, mu):
+        for piece in orient_split_for_slopes(stopping_time_split(mu, c=Fraction(1, 16))):
+            self.assert_checked_form(piece.base)
+
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.sampled_from([0, 1, 7, -(1 << 40), 1 << 40, (1 << 45) + 3])] * d),
+                 min_size=1, max_size=8, unique=True),
+        st.sampled_from([1, 3, 1 << 31, (1 << 31) + 11]),
+        st.permutations(range(d)),
+        st.lists(st.booleans(), min_size=d, max_size=d))))
+    def test_relabel_any_exact_set(self, case):
+        # reflections can take rows into or out of the int64 form
+        raw, den, perm, flips = case
+        P = PointSet.from_points([tuple(Fraction(v, den) for v in p) for p in raw])
+        got = P._relabel(list(perm), flips)
+        self.assert_checked_form(got)
+        rows = P._scaled[0].astype(object)[:, list(perm)]  # Python ints: no entry wraps
+        rows[:, flips] = P._scaled[1] - rows[:, flips]
+        assert got == PointSet._from_scaled(rows, P._scaled[1])
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_only_float_pieces_are_checked_again(self, monkeypatch, mode):
+        pts = [tuple(Fraction(k, 12) for k in p) for p in itertools.product(range(0, 13, 3), repeat=2)]
+        mu = uniform_weights(PointSet.from_points(pts, mode=mode))
+        split = stopping_time_split(mu, c=Fraction(1, 16))
+        calls, build = [], PointSet._from_scaled
+        monkeypatch.setattr(PointSet, "_from_scaled", classmethod(lambda cls, *args: calls.append(args) or build(*args)))
+        orient_split_for_slopes(split)
+        assert len(calls) == (2 if mode == "float" else 0)
 
 
 class TestFrostmanConstant:
@@ -1119,6 +1246,59 @@ class TestWindowPlan:
         report = slope_band_sweep(mu, 1.5, [1 / 8, 1 / 16, 1 / 32])
         assert len(gaps) == 1 and len(report.integrals) == 3
         assert loops == [len(upper) * len(lower)] and len(blocks) > 1 and sum(blocks) == loops[0]
+
+
+class TestScaledWindowAndGap:
+    """The window's scaled bounds from one split of the sorted denominators,
+    and the final-coordinate gap from the pieces' plan axes, against the
+    forms they replace; slope inputs past dimension 4 are refused first."""
+
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+    @given(st.lists(finite.filter(bool), min_size=1, max_size=30),
+           st.lists(finite, min_size=1, max_size=8), st.floats(0, 4))
+    def test_bounds_match_the_where_form(self, denominators, lo, eps):
+        a, lo = np.sort(np.array(denominators)), np.array(lo)
+        hi = lo + eps
+        col = a[:, None]
+        want = np.where(col > 0, col * lo, col * hi), np.where(col > 0, col * hi, col * lo)
+        for got, expected in zip(measure._scaled_window(a, lo, hi), want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @given(separated_product_pairs())
+    def test_gap_from_axes_matches_the_columns(self, pair):
+        mu1, mu2, _ = pair
+        want = measure._min_cross_gap(mu1.base.as_array()[:, -1], mu2.base.as_array()[:, -1])
+        assert measure._check_slope_inputs(mu1, mu2).hex() == want.hex()
+
+    def test_cantor_gap_reads_the_axes(self, monkeypatch):
+        upper, lower = orient_split_for_slopes(stopping_time_split(cantor_measure(4), c=Fraction(1, 16)))
+        want = measure._min_cross_gap(upper.base.as_array()[:, -1], lower.base.as_array()[:, -1])
+        sizes = TestWindowPlan.count(monkeypatch, "_min_cross_gap")
+        assert measure._check_slope_inputs(upper, lower) == want
+        assert len(upper) == len(lower) == 729
+        assert [tuple(map(len, args)) for args in sizes] == [(27, 27)]  # 27 final values a piece
+
+    def test_non_uniform_sweep_builds_no_plan(self, monkeypatch):
+        # like the float band of the benchmark's general workload, at 2,000 atoms
+        rng = np.random.default_rng(3)
+        units = rng.integers(1, 8, 2000)
+        mu = WeightedPointSet(base=PointSet.from_points(rng.random((2000, 2)).tolist(), mode="float"),
+                              masses=(units / units.sum()).tolist())
+        axes = TestWindowPlan.count(monkeypatch, "_product_axes", geometry)
+        report = slope_band_sweep(mu, 1.5, [1 / 8, 1 / 16])
+        assert axes == [] and len(report.integrals) == 2
+
+    def test_five_dimensions_refused_before_any_array(self, monkeypatch):
+        # the supports share a final coordinate as well: the dimension is refused first
+        upper = uniform_weights(PointSet.from_points([(0, 0, 0, 0, 1), (1, 0, 0, 0, 1)]))
+        lower = uniform_weights(PointSet.from_points([(0, 0, 0, 0, 0), (0, 1, 0, 0, 1)]))
+        axes = TestWindowPlan.count(monkeypatch, "_product_axes", geometry)
+        gaps = TestWindowPlan.count(monkeypatch, "_min_cross_gap")
+        for call in (lambda: slope_chart_pair_mass(upper, lower), lambda: slope_density(upper, lower, 1 / 4)):
+            with pytest.raises(PreconditionFailed, match="2 through 4"):
+                call()
+        assert axes == [] and gaps == []
 
 
 class TestSlopeGridRefusals:
