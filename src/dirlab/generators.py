@@ -87,7 +87,7 @@ def _ifs_orbit(system: IfsSystem, depth: int) -> tuple[np.ndarray, int]:
                   for ratio, offset in maps]
         denom *= scale
         rows = _unique_rows(images, denom, system.dimension)
-    return _lowest_terms(rows, denom)
+    return _lowest_terms(rows, denom, rows.min(), rows.max())
 
 
 def ifs_approximant(system: IfsSystem, depth: int) -> PointSet:

@@ -42,7 +42,7 @@ def infer_mode(coords: Iterable) -> str:
     saw_float = False
     saw_fraction = False
     for value in coords:
-        if isinstance(value, bool):
+        if isinstance(value, bool | np.bool_):
             raise MixedMode("bool is not a coordinate type")
         if isinstance(value, Fraction):
             saw_fraction = True
@@ -55,6 +55,15 @@ def infer_mode(coords: Iterable) -> str:
     if saw_float and saw_fraction:
         raise MixedMode("cannot mix exact rationals and floats in one point set")
     return "float" if saw_float else "exact"
+
+
+def _as_fraction(value) -> Fraction:
+    """An exact coordinate as a Fraction: Fractions (subclasses too) as
+    given, numpy integers through int(), since Fraction() keeps one as its
+    numerator and products with it wrap in int64."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(int(value) if isinstance(value, np.integer) else value)
 
 
 # Bounds of the int64 form of exact sets (see PointSet.scaled_integer).
@@ -114,8 +123,10 @@ class PointSet:
 
     @classmethod
     def from_points(cls, raw_points: Iterable[Sequence], mode: str | None = None) -> "PointSet":
-        """The set of the given coordinate tuples, checked by ``_from_scaled``;
-        exact input keeps its Fraction tuples as the ``points`` view."""
+        """The set of the given coordinate tuples, checked by ``_from_scaled``.
+        Exact input keeps its tuples as the ``points`` view: as given when
+        every coordinate is exactly a Fraction, else through _as_fraction.
+        Bools are refused in every mode."""
         rows = [tuple(r) for r in raw_points]
         if not rows:
             raise PreconditionFailed("a point set needs at least one point")
@@ -129,15 +140,18 @@ class PointSet:
             mode = infer_mode(c for r in rows for c in r)
         elif mode not in ("exact", "float"):
             raise PreconditionFailed(f"unknown mode {mode!r}")
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+        if types & {bool, np.bool_}:
+            raise MixedMode("bool is not a coordinate type")
         try:
-            pts = (np.array(rows, dtype=np.float64) if mode == "float" else
-                   tuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in r) for r in rows))
+            pts = (np.array(rows, dtype=np.float64) if mode == "float" else tuple(rows) if types == {Fraction} else
+                   tuple(tuple(map(_as_fraction, r)) for r in rows))
         except (TypeError, ValueError, OverflowError) as exc:  # strings, None; NaN and inf as exact
             raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
         if mode == "float":
             return cls._from_scaled(pts, 1.0)
-        flat = [c for p in pts for c in p]
-        flat, denom = _over_lcm([c.numerator for c in flat], [c.denominator for c in flat])
+        nums, dens = zip(*map(Fraction.as_integer_ratio, itertools.chain.from_iterable(pts)))
+        flat, denom = _over_lcm(nums, dens)
         ps = cls._from_scaled(flat.reshape(len(pts), dimension), denom)
         ps._points = pts
         return ps
@@ -149,9 +163,11 @@ class PointSet:
         Float rows must be finite, below FLOAT_LIMIT in magnitude and distinct
         at DUPLICATE_RESOLUTION; they are stored divided by denom, over 1.0.
         Integer rows must be distinct: int64 rows within the bounds of
-        scaled_integer(), Python-int (object) rows also past them.  Both are reduced by their common gcd with denom,
-        so the denominator is the lcm of the coordinate denominators, and are
-        stored as int64 whenever the reduced rows fit.
+        scaled_integer(), Python-int (object) rows also past them.  One
+        min/max decides the int64 check, and both are reduced by their common
+        gcd with denom by _lowest_terms, so the denominator is the lcm of the
+        coordinate denominators, and stored as int64 whenever the reduced rows
+        fit.  Distinct rows are counted on the words _pack makes of them.
         """
         if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] < 2:
             raise PreconditionFailed("need a nonempty array of points in dimension at least 2")
@@ -161,12 +177,16 @@ class PointSet:
             keys = np.round(rows / DUPLICATE_RESOLUTION)
             distinct = len(_distinct_words(list(keys.T))[0])
         else:
-            if rows.dtype.kind not in "iuO" or denom < 1 or (
-                    rows.dtype != object and not _fits(denom, rows.min(), rows.max())):
+            if rows.dtype.kind not in "iuO" or denom < 1:
                 raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
-            rows, denom = _lowest_terms(rows, denom)
+            lo, hi = rows.min(), rows.max()
+            if rows.dtype != object and not _fits(denom, lo, hi):
+                raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
+            rows, reduced = _lowest_terms(rows, denom, lo, hi)
+            # the gcd divides every entry exactly, so it divides the largest |entry| too
+            bound, denom = max(-int(lo), int(hi)) // (int(denom) // reduced), reduced
             keys = rows
-            distinct = len(_unique_rows([rows], int(np.abs(rows).max()), rows.shape[1]))
+            distinct = len(_distinct_words(_pack(rows, bound)[1])[0])
         ps = cls(dimension=rows.shape[1], mode=mode, _scaled=(rows, denom))
         if distinct < len(rows):
             seen = {}
@@ -181,7 +201,7 @@ class PointSet:
         so the result equals _from_scaled on them."""
         rows, denom = self._scaled
         rows = rows[index]
-        scaled = (rows, denom) if self.mode == "float" else _lowest_terms(rows, denom)
+        scaled = (rows, denom) if self.mode == "float" else _lowest_terms(rows, denom, rows.min(), rows.max())
         return PointSet(dimension=self.dimension, mode=self.mode, _scaled=scaled)
 
     def _relabel(self, perm: list, flips: list) -> "PointSet":
@@ -262,13 +282,25 @@ class PointSet:
         return self._plan
 
 
-def _lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
-    """Integer rows / denom with their common gcd divided out, so denom is the
-    lcm of the coordinate denominators; int64 within the bounds of
-    PointSet.scaled_integer(), Python ints (object) past them."""
-    g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
-    rows, denom = rows // g, int(denom) // g
-    return rows.astype(np.int64 if _fits(denom, rows.min(), rows.max()) else object, copy=False), denom
+def _lowest_terms(rows: np.ndarray, denom, lo, hi) -> tuple[np.ndarray, int]:
+    """Integer rows / denom, entries in [lo, hi], with their common gcd
+    divided out, so denom is the lcm of the coordinate denominators; int64
+    within the bounds of PointSet.scaled_integer(), Python ints (object)
+    past them.
+
+    The gcd starts from denom and the first row, then takes in the next
+    rows, twice as many each time, only while it stays above 1; the rows
+    are divided only by a gcd above 1, and lo and hi with them (exactly, as
+    it divides every entry).  Rows not divided are returned as given when
+    their dtype stays."""
+    g, start, stop = int(denom), 0, 1
+    while g > 1 and start < len(rows):
+        g = math.gcd(g, int(np.gcd.reduce(rows[start:stop], axis=None)))
+        start, stop = stop, 2 * stop
+    if g > 1:
+        rows, lo, hi = rows // g, lo // g, hi // g
+    denom = int(denom) // g
+    return rows.astype(np.int64 if _fits(denom, lo, hi) else object, copy=False), denom
 
 
 # Target pair count for one block of pair differences.
@@ -566,14 +598,27 @@ def _pair_differences(P: PointSet, weights: np.ndarray | None = None, floats: bo
 
 
 def _grouped_sum(keys: np.ndarray, values: np.ndarray):
-    """Sorted distinct keys, per key the sum of values, exact in their dtype
-    and added in their order, and the inverse by binary search.  The first
-    two are a part, as the fold of coverage and energy blocks holds them."""
-    distinct = _sorted_unique(keys)
-    inverse = np.searchsorted(distinct, keys)
-    sums = np.zeros(len(distinct), dtype=values.dtype)
-    np.add.at(sums, inverse, values)
-    return distinct, sums, inverse
+    """Sorted distinct keys and per key the sum of values, exact in their
+    dtype, with the sort: the order that sorts keys and where each run of
+    equal sorted keys starts, so inverse[order] = cumsum(start) - 1 maps
+    each key to its group.  The first two are a part, as the fold of
+    coverage and energy blocks holds them.  Float values go through a
+    stable sort and np.add.at in sorted order, so each key's values are
+    added in their order; integer values (int64 or Python ints) by
+    np.add.reduceat over the runs."""
+    floats = values.dtype.kind == "f"
+    order = np.argsort(keys, kind="stable" if floats else None)
+    keys = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    distinct = keys[start]
+    del keys  # the sorted copy goes before the values are gathered
+    if floats:
+        sums = np.zeros(len(distinct), dtype=values.dtype)
+        np.add.at(sums, np.cumsum(start) - 1, values[order])
+    else:
+        sums = np.add.reduceat(values[order], np.flatnonzero(start))
+    return distinct, sums, order, start
 
 
 def _fold_in(held: list, part: tuple) -> None:
@@ -638,31 +683,39 @@ def _distinct_words(words: list) -> list:
     return words
 
 
+def _pack(rows: np.ndarray, bound: int) -> tuple[list, list]:
+    """Integer rows with |entry| <= bound as words of consecutive entries,
+    signed digits in base 2*bound+1, so words compare as the entries they
+    hold: one word for Python-int (object) rows, whose words are Python
+    ints, and for int64 rows as few words as keep each within int64.  The
+    column spans [lo, hi) of the words, and the words."""
+    base, d = 2 * bound + 1, rows.shape[1]
+    width = d
+    while rows.dtype != object and width > 1 and base**width > 1 << 62:
+        width -= 1
+    spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
+    words = []
+    for lo, hi in spans:
+        word = rows[:, lo]
+        for j in range(lo + 1, hi):
+            word = word * base + rows[:, j]
+        words.append(word)
+    del word  # words holds the only reference, so _distinct_words frees it
+    return spans, words
+
+
 def _unique_rows(chunk_rows, bound: int, d: int) -> np.ndarray:
     """Distinct rows, in lexicographic order, over a stream of integer row
     chunks with |entry| <= bound.
 
-    Each row packs into words of consecutive entries as signed digits in
-    base 2*bound+1, so words compare as the entries they hold: one word for
-    Python-int (object) rows, whose words are Python ints, and for int64
-    rows as few words as keep each within int64.  Each chunk is packed and
-    deduplicated on its words (by the worker that fills it, for _Blocks),
-    then, over several chunks, their union is, in chunk order, and the words
-    unpack to the rows, each word the scratch of its own unpacking."""
+    Each chunk is packed by _pack and deduplicated on its words (by the
+    worker that fills it, for _Blocks), then, over several chunks, their
+    union is, in chunk order, and the words unpack to the rows, each word
+    the scratch of its own unpacking."""
     base = 2 * bound + 1
 
     def pack(rows):
-        width = d
-        while rows.dtype != object and width > 1 and base**width > 1 << 62:
-            width -= 1
-        spans = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
-        words = []
-        for lo, hi in spans:
-            word = rows[:, lo]
-            for j in range(lo + 1, hi):
-                word = word * base + rows[:, j]
-            words.append(word)
-        del word  # words holds the only reference, so _distinct_words frees it
+        spans, words = _pack(rows, bound)
         return spans, _distinct_words(words)
 
     parts = list(_block_map(pack, chunk_rows))

@@ -51,26 +51,29 @@ class WeightedPointSet:
         """The measure weights / denom on base; the one place masses are checked.
 
         Float weights must be finite and are stored divided by denom, over
-        1.0; integer weights are reduced by their common gcd with denom.
-        Both must be nonnegative and sum to one, float sums within 1e-12.
+        1.0; integer weights are reduced by their common gcd with denom
+        (_lowest_terms).  Both must be nonnegative and sum to one, float sums
+        within 1e-12.  One min/max serves the lowest terms, the sign check
+        and ``uniform``.
         """
         if len(weights) != len(base):
             raise PreconditionFailed("one mass per atom required")
         mu = cls.__new__(cls)
         mu.exact = weights.dtype.kind != "f"
-        if mu.exact:
-            weights, denom = _lowest_terms(weights, denom)
-        else:
+        if not mu.exact:
             weights, denom = np.asarray(weights / denom, dtype=np.float64), 1.0
             if not np.isfinite(weights).all():
                 raise PreconditionFailed("masses must be finite")
-        if weights.min() < 0:
+        lo, hi = weights.min(), weights.max()  # _lowest_terms keeps their signs and ties
+        if lo < 0:
             raise PreconditionFailed("masses must be nonnegative")
+        if mu.exact:
+            weights, denom = _lowest_terms(weights, denom, lo, hi)
         mu.base, mu.thickening_radius, mu._weights = base, thickening_radius, (weights, denom)
-        mu.uniform, mu._masses = bool(weights.min() == weights.max()), None
-        total = mu.total_mass()
-        if abs(total - 1) > (0 if mu.exact else 1e-12):
-            raise PreconditionFailed(f"masses sum to {total}, not 1")
+        mu.uniform, mu._masses = bool(lo == hi), None
+        # weights / D sums to one exactly when the weights sum to D (D > 0)
+        if (int(weights.sum()) != denom) if mu.exact else abs(float(weights.sum()) - 1) > 1e-12:
+            raise PreconditionFailed(f"masses sum to {mu.total_mass()}, not 1")
         return mu
 
     @property
@@ -498,7 +501,9 @@ def frostman_constant(mu: WeightedPointSet, s, depth: int) -> float:
     for j in range(1, depth + 1):
         code, digits = _child_step(cube, rel, denom, 2)
         rel = _descend(rel, digits, denom, 2)
-        _, sums, cube = _grouped_sum(code, w)
+        _, sums, order, start = _grouped_sum(code, w)
+        cube = np.empty(len(code), dtype=np.int64)
+        cube[order] = np.cumsum(start) - 1  # each atom's cube, numbered in code order
         worst = max(worst, float(sums.max()) * (2.0**j) ** s)
     return worst
 

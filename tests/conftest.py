@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 
-from dirlab import PointSet, geometry
+from dirlab import DirlabError, PointSet, geometry
 
 settings.register_profile(
     "suite",
@@ -37,6 +37,14 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("suite")
+
+
+def outcome(build, *args):
+    """build(*args), or the type and message of the DirlabError it raised."""
+    try:
+        return build(*args)
+    except DirlabError as exc:
+        return type(exc), str(exc)
 
 
 def first_nonzero(values):

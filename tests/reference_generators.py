@@ -5,16 +5,20 @@ as they stood before they moved onto integer rows: orbit points as sets of
 Fraction tuples, grid coordinates from a Fraction axis, sorted tuples
 handed to PointSet.from_points, and rational elimination on the points
 view.  grid_side is the grid side as it was found before the integer
-root, one step at a time.  The oracle tests compare the library against
+root, one step at a time.  The point set and measure constructors at the
+end are described there.  The oracle tests compare the library against
 them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from dirlab import PointSet, PreconditionFailed, SizeLimit
+import numpy as np
+
+from dirlab import PointSet, PreconditionFailed, SizeLimit, WeightedPointSet, geometry
 from dirlab.generators import DEFAULT_POINT_CAP, IfsSystem, _grid_side
 
 
@@ -94,3 +98,94 @@ def grid_side(d: int, n: int) -> int:
     while (g + 1) ** (d - 1) <= n:
         g += 1
     return g
+
+
+# --- constructors ------------------------------------------------------------
+#
+# PointSet.from_points, PointSet._from_scaled and WeightedPointSet._from_weights
+# as they stood before each decided and checked its stored form in one pass:
+# per-coordinate Fractions read through a flat list, _lowest_terms dividing
+# by the gcd of every entry, distinct rows counted by unpacking _unique_rows,
+# and the mass total checked as a Fraction.  Numpy integers enter from_points
+# through int(), as they do now: Fraction() kept one as its numerator, whose
+# products wrapped in int64 once they passed 2^63.
+
+
+def lowest_terms(rows: np.ndarray, denom) -> tuple[np.ndarray, int]:
+    g = math.gcd(int(denom), int(np.gcd.reduce(rows, axis=None)))
+    rows, denom = rows // g, int(denom) // g
+    return rows.astype(np.int64 if geometry._fits(denom, rows.min(), rows.max()) else object, copy=False), denom
+
+
+def from_scaled(rows: np.ndarray, denom) -> PointSet:
+    if rows.ndim != 2 or len(rows) == 0 or rows.shape[1] < 2:
+        raise PreconditionFailed("need a nonempty array of points in dimension at least 2")
+    mode = "float" if rows.dtype.kind == "f" else "exact"
+    if mode == "float":
+        rows, denom = geometry._float_rows(rows, denom), 1.0
+        keys = np.round(rows / geometry.DUPLICATE_RESOLUTION)
+        distinct = len(geometry._distinct_words(list(keys.T))[0])
+    else:
+        if rows.dtype.kind not in "iuO" or denom < 1 or (
+                rows.dtype != object and not geometry._fits(denom, rows.min(), rows.max())):
+            raise PreconditionFailed("need integer rows within the int64 bounds of scaled_integer()")
+        rows, denom = lowest_terms(rows, denom)
+        keys = rows
+        distinct = len(geometry._unique_rows([rows], int(np.abs(rows).max()), rows.shape[1]))
+    ps = PointSet(dimension=rows.shape[1], mode=mode, _scaled=(rows, denom))
+    if distinct < len(rows):
+        seen = {}
+        i = next(i for i, key in enumerate(map(tuple, keys.tolist())) if seen.setdefault(key, i) != i)
+        where = f" at resolution {geometry.DUPLICATE_RESOLUTION}" if mode == "float" else ""
+        raise PreconditionFailed(f"duplicate point {ps.points[i]}{where}")
+    return ps
+
+
+def from_points(raw_points, mode: str | None = None) -> PointSet:
+    rows = [tuple(r) for r in raw_points]
+    if not rows:
+        raise PreconditionFailed("a point set needs at least one point")
+    dimension = len(rows[0])
+    if dimension < 2:
+        raise PreconditionFailed("ambient dimension must be at least 2")
+    for r in rows:
+        if len(r) != dimension:
+            raise PreconditionFailed("all points must share one dimension")
+    if mode is None:
+        mode = geometry.infer_mode(c for r in rows for c in r)
+    elif mode not in ("exact", "float"):
+        raise PreconditionFailed(f"unknown mode {mode!r}")
+    try:
+        pts = (np.array(rows, dtype=np.float64) if mode == "float" else
+               tuple(tuple(v if isinstance(v, Fraction) else Fraction(int(v) if isinstance(v, np.integer) else v)
+                           for v in r) for r in rows))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
+    if mode == "float":
+        return from_scaled(pts, 1.0)
+    flat = [c for p in pts for c in p]
+    flat, denom = geometry._over_lcm([c.numerator for c in flat], [c.denominator for c in flat])
+    ps = from_scaled(flat.reshape(len(pts), dimension), denom)
+    ps._points = pts
+    return ps
+
+
+def from_weights(base: PointSet, weights: np.ndarray, denom, thickening_radius=None) -> WeightedPointSet:
+    if len(weights) != len(base):
+        raise PreconditionFailed("one mass per atom required")
+    mu = WeightedPointSet.__new__(WeightedPointSet)
+    mu.exact = weights.dtype.kind != "f"
+    if mu.exact:
+        weights, denom = lowest_terms(weights, denom)
+    else:
+        weights, denom = np.asarray(weights / denom, dtype=np.float64), 1.0
+        if not np.isfinite(weights).all():
+            raise PreconditionFailed("masses must be finite")
+    if weights.min() < 0:
+        raise PreconditionFailed("masses must be nonnegative")
+    mu.base, mu.thickening_radius, mu._weights = base, thickening_radius, (weights, denom)
+    mu.uniform, mu._masses = bool(weights.min() == weights.max()), None
+    total = Fraction(int(weights.sum()), denom) if mu.exact else float(weights.sum())
+    if abs(total - 1) > (0 if mu.exact else 1e-12):
+        raise PreconditionFailed(f"masses sum to {total}, not 1")
+    return mu

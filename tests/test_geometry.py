@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import oracle_direction, product_point_sets
+from conftest import oracle_direction, outcome, product_point_sets
 import reference_generators
 import reference_io
 import reference_pairs
@@ -267,6 +267,13 @@ class TestPointSet:
     def test_plain_ints_are_mode_neutral(self):
         assert PointSet.from_points([(0, 0), (0.5, 1.0)]).mode == "float"
         assert PointSet.from_points([(0, 0), (1, 2)]).mode == "exact"
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np.bool_"])
+    @pytest.mark.parametrize("mode", [None, "exact", "float"])
+    def test_bool_coordinates_rejected(self, flag, mode):
+        # exact and float mode once read True as 1 and 1.0
+        with pytest.raises(MixedMode, match="^bool is not a coordinate type$"):
+            PointSet.from_points([(flag, 0), (0, 1)], mode=mode)
 
     def test_ragged_dimensions_rejected(self):
         with pytest.raises(PreconditionFailed):
@@ -771,6 +778,214 @@ class TestTakeAgainstReference:
         P = PointSet.from_points(rows, mode="float" if mode == "float" else "exact")
         sel = np.array(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
         assert_same_set(P._take(sel), PointSet._from_scaled(P._scaled[0][sel], P._scaled[1]))
+
+
+
+class Halves(Fraction):
+    """A Fraction subclass: from_points converts its coordinates as it does
+    ints, not as exactly-Fraction ones."""
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, PointSet)
+        assert_same_set(got, want)
+
+
+@st.composite
+def scaled_exact_rows(draw):
+    """Integer rows with a denominator for _from_scaled: int64 within the
+    bounds (and past them, refused), Python-int rows past them, negative
+    entries, repeated rows, and a factor shared by the denominator and every
+    row, which _lowest_terms divides out."""
+    d = draw(st.integers(2, 3))
+    wide = draw(st.booleans())
+    top = geometry.MAX_NUMERATOR << (3 if wide else 0)
+    entry = st.one_of(st.integers(-13, 13), st.integers(-top, top))
+    rows = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()) and len(rows) > 1:  # a duplicate
+        rows.insert(draw(st.integers(1, len(rows))), draw(st.sampled_from(rows)))
+    bound = geometry.MAX_DENOMINATOR << (1 if wide else 0)
+    denom = draw(st.one_of(st.integers(1, 24), st.integers(1, bound)))
+    factor = draw(st.sampled_from([1, 2, 6, 35, 1 << 20]))
+    rows = [[v * factor for v in r] for r in rows]
+    int64 = all(abs(v) < 1 << 63 for r in rows for v in r) and draw(st.booleans())
+    return np.array(rows, dtype=np.int64 if int64 else object), denom * factor
+
+
+exact_coordinates = {
+    "fraction": st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    "int": st.integers(-5, 5),
+    "np.int64": st.integers(-5, 5).map(np.int64),
+    "subclass": st.builds(Halves, st.integers(-6, 6), st.just(2)),
+    "wide": st.builds(Fraction, st.integers(-9, 9), st.just(WIDE)),  # denominator past 2^31: object rows
+}
+
+
+def exact_value(v):
+    """A from_points coordinate as the Fraction it stands for."""
+    return Fraction(int(v) if isinstance(v, np.integer) else v)
+
+
+@st.composite
+def exact_point_lists(draw):
+    """from_points input: each kind of exact coordinate alone, or mixed."""
+    d = draw(st.integers(2, 3))
+    kinds = draw(st.sampled_from([[k] for k in sorted(exact_coordinates)] + [sorted(exact_coordinates)]))
+    coordinate = st.one_of([exact_coordinates[k] for k in kinds])
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=10,
+                           unique_by=lambda p: tuple(map(exact_value, p))))
+    if draw(st.booleans()) and len(points) > 1:  # a duplicate, maybe spelled otherwise
+        p = draw(st.sampled_from(points))
+        points.insert(draw(st.integers(1, len(points))), draw(st.sampled_from([p, tuple(map(exact_value, p))])))
+    return points
+
+
+class TestConstructorsAgainstReference:
+    """PointSet._from_scaled and from_points against their reference forms
+    (per-coordinate Fractions, the gcd of every entry, distinct rows unpacked
+    by _unique_rows): the same rows, dtype, denominator and points, and the
+    same inputs refused with the same messages."""
+
+    @given(scaled_exact_rows())
+    def test_from_scaled(self, case):
+        rows, denom = case
+        want = outcome(reference_generators.from_scaled, rows.copy(), denom)
+        assert_same_outcome(outcome(PointSet._from_scaled, rows, denom), want)
+
+    @given(exact_point_lists(), st.sampled_from([None, "exact"]))
+    def test_from_points(self, points, mode):
+        want = outcome(reference_generators.from_points, points, mode)
+        got = outcome(PointSet.from_points, points, mode)
+        assert_same_outcome(got, want)
+        if isinstance(got, PointSet):
+            assert [type(v) for p in got.points for v in p] == [type(v) for p in want.points for v in p]
+            if all(type(v) is Fraction for p in points for v in p):
+                assert all(kept is p for kept, p in zip(got.points, points))  # the given tuples themselves
+
+    def test_numpy_integers_enter_as_ints(self):
+        # Fraction(np.int64(3)) kept np.int64 numerators: 3 * 2^62 wrapped in int64
+        ps = PointSet.from_points([(np.int64(3), Fraction(1, 1 << 62)), (np.int64(0), 0)], mode="exact")
+        rows, denom = ps._scaled
+        assert denom == 1 << 62 and rows.dtype == object and rows.tolist() == [[3 << 62, 1], [0, 0]]
+        assert {type(v) for v in rows.ravel()} == {int}
+        assert {type(c.numerator) for p in ps.points for c in p} == {int}
+
+    @pytest.mark.parametrize("points", [
+        [(Fraction(1, 2), 1), (np.int64(3), Halves(1, 2)), (Fraction(1, 2), Fraction(1))],
+        [(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 6), Fraction(4, 6))],
+        [(Fraction(1, WIDE), 0), (0, Fraction(1 << 41))],
+        [(Fraction(-7, 4), Fraction(5, 6)), (Fraction(7, 4), Fraction(-5, 6))],
+    ])
+    def test_examples(self, points):
+        assert_same_outcome(outcome(PointSet.from_points, points, "exact"),
+                            outcome(reference_generators.from_points, points, "exact"))
+
+
+class TestLowestTermsAgainstGcd:
+    """_lowest_terms divides by math.gcd of the denominator and every entry,
+    though it stops reading rows once the gcd reaches 1."""
+
+    @given(kind=st.sampled_from(["int64", "object"]), data=st.data())
+    def test_matches_gcd_of_every_entry(self, kind, data):
+        d = data.draw(st.integers(1, 3))
+        big = 1 << (70 if kind == "object" else 40)
+        entry = st.one_of(st.integers(-12, 12), st.integers(-big, big))
+        flat = data.draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=20))
+        factor = data.draw(st.sampled_from([1, 2, 12, 1 << 20]))
+        denom = data.draw(st.integers(1, 1 << 31)) * factor
+        rows = np.array([[v * factor for v in r] for r in flat], dtype=np.int64 if kind == "int64" else object)
+        rows = rows[:, 0] if d == 1 else rows  # one column: a measure's weights
+        g = math.gcd(denom, *rows.ravel().tolist())
+        got, got_denom = geometry._lowest_terms(rows, denom, rows.min(), rows.max())
+        assert got_denom == denom // g and type(got_denom) is int
+        assert got.tolist() == (rows // g).tolist()
+        assert got.dtype == (np.int64 if geometry._fits(denom // g, got.min(), got.max()) else object)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_first_row_shares_a_factor_the_set_does_not(self, dtype):
+        # gcd(12, 6, 4) = 2 over the first row, 1 once the third row is in
+        rows = np.array([[6, 4], [2, 8], [3, 0], [9, 12]], dtype=dtype)
+        got, denom = geometry._lowest_terms(rows, 12, 0, 12)
+        assert denom == 12 and got.tolist() == rows.tolist() and got.dtype == np.int64
+        # and one the whole set shares: gcd 2 over all four rows
+        rows = np.array([[6, 4], [2, 8], [10, 0], [4, 12]], dtype=dtype)
+        got, denom = geometry._lowest_terms(rows, 12, 0, 12)
+        assert denom == 6 and got.tolist() == [[3, 2], [1, 4], [5, 0], [2, 6]] and got.dtype == np.int64
+
+    def test_stops_reading_rows_at_gcd_one(self):
+        # the second row is never read: the first already brings the gcd to 1,
+        # and the bounds past int64 keep the object rows as given
+        rows = np.array([[1, 0], [None, None]], dtype=object)
+        got, denom = geometry._lowest_terms(rows, 6, 0, 1 << 41)
+        assert denom == 6 and got is rows
+
+
+def old_grouped_sum(keys, values):
+    """_grouped_sum as it stood: np.unique, the inverse by binary search,
+    and np.add.at in the values' order."""
+    distinct = np.unique(keys)
+    inverse = np.searchsorted(distinct, keys)
+    sums = np.zeros(len(distinct), dtype=values.dtype)
+    np.add.at(sums, inverse, values)
+    return distinct, sums, inverse
+
+
+GROUP_KEYS = {
+    "int64": st.integers(-(1 << 62), 1 << 62),
+    "object": st.integers(-(1 << 80), 1 << 80),  # wide r2 keys of the exact energy
+}
+GROUP_VALUES = {
+    "int64": (np.int64, st.integers(-(1 << 40), 1 << 40)),
+    "object": (object, st.integers(-(1 << 80), 1 << 80)),
+    "float": (np.float64, st.floats(-1e6, 1e6, allow_nan=False)),
+}
+
+
+class TestGroupedSumAgainstReference:
+    """_grouped_sum against a dict of per-key sums, float sums bit for bit
+    those of the old binary-search form, and the sort it returns inverting
+    to each key's group."""
+
+    @given(key_kind=st.sampled_from(sorted(GROUP_KEYS)), value_kind=st.sampled_from(sorted(GROUP_VALUES)),
+           data=st.data())
+    def test_matches_dict_and_old_sums(self, key_kind, value_kind, data):
+        n = data.draw(st.integers(0, 60))
+        pool = data.draw(st.lists(GROUP_KEYS[key_kind], min_size=1, max_size=8))
+        keys = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                        dtype=np.int64 if key_kind == "int64" else object)
+        dtype, value = GROUP_VALUES[value_kind]
+        values = np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=dtype)
+        distinct, sums, order, start = geometry._grouped_sum(keys, values)
+        want = {}
+        for k, v in zip(keys.tolist(), values.tolist()):
+            want[k] = want.get(k, 0) + v
+        assert distinct.tolist() == sorted(want) and sums.dtype == values.dtype
+        old = old_grouped_sum(keys, values)
+        assert distinct.tolist() == old[0].tolist()
+        if value_kind == "float":
+            assert [v.hex() for v in sums.tolist()] == [v.hex() for v in old[1].tolist()]
+        else:
+            assert sums.tolist() == [want[k] for k in sorted(want)]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.cumsum(start) - 1
+        assert inverse.tolist() == old[2].tolist() and start.sum() == len(distinct)
+
+    def test_float_sums_keep_the_values_order(self):
+        # each key's values added left to right: (1e16 + 1) + 1 = 1e16, not 1e16 + 2
+        keys = np.array([5, 3, 5, 3, 5, 3])
+        values = np.array([1e16, 1.0, 1.0, 1e16, 1.0, 1.0])
+        _, sums, _, _ = geometry._grouped_sum(keys, values)
+        assert sums.tolist() == [(1.0 + 1e16) + 1.0, (1e16 + 1.0) + 1.0] == old_grouped_sum(keys, values)[1].tolist()
+
+    def test_many_keys(self):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 75_000, 75_000)
+        for values in (rng.integers(1, 100, 75_000), rng.random(75_000)):
+            got, old = geometry._grouped_sum(keys, values), old_grouped_sum(keys, values)
+            assert got[0].tobytes() == old[0].tobytes() and got[1].tobytes() == old[1].tobytes()
 
 
 def assert_same_blocks(got, want):

@@ -16,10 +16,12 @@ from conftest import (
     brute_energy,
     brute_window_masses,
     on_both_paths,
+    outcome,
     product_point_sets,
     random_rational_points,
 )
 from reference_split import reference_orientation, reference_split
+import reference_generators
 import reference_pairs
 import reference_window
 from dirlab import (
@@ -192,6 +194,53 @@ class TestMassForm:
             assert all(type(m) is piece_type for m in got_piece.masses)
             assert (got_piece.uniform, got_piece.exact) == (want_piece.uniform, want_piece.exact)
             assert got_piece.exact == (piece_type is Fraction)
+
+
+@st.composite
+def raw_weights(draw):
+    """Weights and a denominator for _from_weights: int64, Python ints past
+    int64 and floats; negative entries, totals off one, empty atoms, and a
+    factor shared by the denominator and every weight."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["int64", "object", "float"]))
+    odd = draw(st.sampled_from([None] * 6 + [-1.0, math.inf, math.nan]))  # one bad weight, sometimes
+    if kind == "float":
+        weights = draw(st.lists(st.floats(0, 4) | st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        denom = draw(st.sampled_from([sum(weights), 1.0, 3.0]))
+        weights[-1] = weights[-1] if odd is None else odd
+        return np.array(weights, dtype=np.float64), denom or 1.0, n
+    big = 1 << (70 if kind == "object" else 30)
+    weights = draw(st.lists(st.integers(0, 5) | st.integers(0, big), min_size=n, max_size=n))
+    weights[-1] = -weights[-1] - 1 if odd == -1 else weights[-1]
+    factor = draw(st.sampled_from([1, 2, 6, 1 << 40]))
+    off = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    denom = max(1, sum(weights) + off) * factor
+    weights = [w * factor for w in weights]
+    int64 = all(abs(w) < 1 << 63 for w in weights) and kind == "int64"
+    return np.array(weights, dtype=np.int64 if int64 else object), denom, n
+
+
+class TestWeightsAgainstReference:
+    """WeightedPointSet._from_weights against its reference form (the
+    gcd of every weight, min and max read after it, the total checked as a
+    Fraction): the same stored weights, denominator and flags, and the same
+    inputs refused with the same messages."""
+
+    @given(raw_weights(), st.integers(0, 1))
+    def test_matches_reference(self, drawn, extra):
+        weights, denom, n = drawn
+        base = PointSet._from_scaled(np.arange(2 * (n + extra)).reshape(-1, 2), 1)  # extra: one atom too many
+        got = outcome(WeightedPointSet._from_weights, base, weights.copy(), denom)
+        want = outcome(reference_generators.from_weights, base, weights.copy(), denom)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        (g, g_denom), (w, w_denom) = got._weights, want._weights
+        assert g.dtype == w.dtype and type(g_denom) is type(w_denom) and g_denom == w_denom
+        assert g.tolist() == w.tolist() and {type(v) for v in g.tolist()} == {type(v) for v in w.tolist()}
+        assert (got.exact, got.uniform, got.base, got.thickening_radius) == (
+            want.exact, want.uniform, want.base, want.thickening_radius)
+        assert got.masses == want.masses
 
 
 class TestBadExponent:
