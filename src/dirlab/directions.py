@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections.abc import Set
 from dataclasses import dataclass
 
@@ -136,19 +137,10 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / _row_norms(rows)[:, None]
 
 
-def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
-    """Census of canonical direction keys over all pairs of P.
-
-    Signed mode (antipodal=False) counts ordered pairs, so both u and -u
-    appear; identified mode counts each unordered pair once.  Signed rows
-    are -R[::-1] then R, R the canonical rows (README, "the census").
-    Refuses with SizeLimit a set whose pair differences pass CENSUS_KEY_LIMIT.
-    """
-    n = len(P)
-    if n < 2:
-        raise PreconditionFailed("need at least two points for directions")
+def _canonical_rows(P: PointSet) -> np.ndarray:
+    """The distinct canonical rows of P's pair differences, in lexicographic
+    order, from one walk; refused past CENSUS_KEY_LIMIT before it starts."""
     exact = P.mode == "exact"
-    arr, _ = P._scaled
 
     def canonical(block):
         # primitive integer vectors for exact sets, quantized unit vectors for floats
@@ -163,13 +155,34 @@ def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
     if blocks.pairs > CENSUS_KEY_LIMIT:
         raise SizeLimit(f"a census of {blocks.pairs} pair differences passes the "
                         f"{CENSUS_KEY_LIMIT} key budget (CENSUS_KEY_LIMIT)")
-    if exact:
-        bound, scale = max(1, 2 * int(np.abs(arr).max())), 1
-    else:
-        bound, scale = int(round(1 / DIRECTION_RESOLUTION)) + 2, DIRECTION_RESOLUTION
-    rows = _unique_rows(_block_map(canonical, blocks), bound, P.dimension)
+    bound = max(1, 2 * int(np.abs(P._scaled[0]).max())) if exact else int(round(1 / DIRECTION_RESOLUTION)) + 2
+    return _unique_rows(_block_map(canonical, blocks), bound, P.dimension)
+
+
+def distinct_directions(P: PointSet, antipodal: bool = True) -> DirectionCensus:
+    """Census of canonical direction keys over all pairs of P.
+
+    Signed mode (antipodal=False) counts ordered pairs, so both u and -u
+    appear; identified mode counts each unordered pair once.  Signed rows
+    are -R[::-1] then R, R the canonical rows (README, "the census").
+    Identified rows are read-only, and P holds a weak reference to the
+    latest: a signed census reads R from it while that census is alive,
+    and walks the pairs once it is gone.
+    Refuses with SizeLimit a set whose pair differences pass CENSUS_KEY_LIMIT.
+    """
+    n = len(P)
+    if n < 2:
+        raise PreconditionFailed("need at least two points for directions")
+    exact = P.mode == "exact"
+    rows = None if antipodal or P._census_rows is None else P._census_rows()
+    if rows is None:
+        rows = _canonical_rows(P)
+        if antipodal:
+            rows.flags.writeable = False
+            P._census_rows = weakref.ref(rows)
     if not antipodal:
         rows = np.concatenate([-rows[::-1], rows])
+    scale = 1 if exact else DIRECTION_RESOLUTION
     keys = DirectionKeys(rows, scale, exact, antipodal)
     n_pairs = n * (n - 1) // 2 if antipodal else n * (n - 1)
     return DirectionCensus(keys=keys, antipodal_identified=antipodal, n_points=n, n_pairs=n_pairs)
@@ -382,6 +395,18 @@ class SeparatedSubset:
     color_classes: int
 
 
+def _sqrt_threshold(delta: float) -> float:
+    """The least float t with fl(sqrt(t)) >= delta.  A correctly rounded
+    sqrt is monotone, so for every float s >= 0, sqrt(s) < delta exactly
+    when s < t."""
+    t = delta * delta
+    while math.sqrt(t) >= delta:
+        t = math.nextafter(t, 0.0)
+    while math.sqrt(t) < delta:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 class _Slabs:
     """Units sorted on their first coordinate, each with its slab for delta.
 
@@ -391,7 +416,8 @@ class _Slabs:
     difference, a rounded sum of nonnegative squares, is at least delta:
     only units in the slab can be closer.  (This needs delta^2 to stay a
     normal float; separated_subset's chart side refuses delta below
-    2^-62 / (d + 1).)  rank[pos] is unit pos's place in the sorted order.
+    2^-62 / (d + 1).)  rank[pos] is unit pos's place in the sorted order;
+    threshold is _sqrt_threshold(delta), computed once for every slab.
     """
 
     def __init__(self, units: np.ndarray, delta: float):
@@ -404,16 +430,17 @@ class _Slabs:
         h = delta * (1 + 1e-9)
         self.lo = column.searchsorted(column - h, "left").tolist()
         self.hi = column.searchsorted(column + h, "right").tolist()
-        self.delta = delta
+        self.threshold = _sqrt_threshold(delta)
 
     def block(self, r: int, blocked: np.ndarray) -> None:
         """Flag the units of r's slab closer than delta to unit r.  Each
-        pair is the greedy's |kept - candidate| negated, so its norm has
-        the same bits; the norm is the expression np.linalg.norm(x, axis=1)
-        evaluates for real rows, without its dispatch."""
+        pair is the greedy's |kept - candidate| negated, so its squared
+        norm has the same bits: the sum np.linalg.norm(x, axis=1) takes the
+        root of for real rows.  It is compared with the threshold, not its
+        root with delta, which decides every pair alike."""
         lo, hi = self.lo[r], self.hi[r]
         x = self.units[lo:hi] - self.units[r]
-        blocked[lo:hi] |= np.sqrt(np.add.reduce(x * x, axis=1)) < self.delta
+        blocked[lo:hi] |= np.add.reduce(x * x, axis=1) < self.threshold
 
 
 def _greedy(slabs: _Slabs, kept: list, candidates: list, blocked: np.ndarray | None = None) -> list:
@@ -442,9 +469,11 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
     Keys are taken in rep order (the order of the census rows) and binned
     on the coverage chart, and only the keys kept are built; each
     occupied cell keeps its first key and takes one of 2^(d-1) parity
-    colors.  One greedy keeps each color class in cell order; the largest
-    class then grows by the remaining keys, in order, that respect the
-    separation, from the blocked flags its own pass left.  If it falls
+    colors.  One greedy keeps each color class in cell order, skipping a
+    class with no more cells than the largest kept so far, since it could
+    not pass it; the largest (the first of equals) then grows by the
+    remaining keys, in order, that respect the separation, from the
+    blocked flags its own pass left.  If it falls
     below occupied/2^(d-1) the grid is coarsened and retried, so the
     reported occupied count always matches the pitch.
     Every pass and retry shares one _Slabs index of the units.  Keys held
@@ -473,8 +502,11 @@ def separated_subset(census: DirectionCensus, delta: float) -> SeparatedSubset:
         sigma = (idx[first] % 2) @ (1 << np.arange(d - 2, -1, -1))
         best: list[int] = []
         for s in np.unique(sigma):
+            candidates = first[sigma == s]
+            if len(candidates) <= len(best):
+                continue  # it keeps at most its candidates, and only more than best wins
             flags = np.zeros(len(keys), dtype=bool)
-            kept = _greedy(slabs, [], first[sigma == s].tolist(), flags)
+            kept = _greedy(slabs, [], candidates.tolist(), flags)
             if len(kept) > len(best):
                 best, best_flags = kept, flags
 

@@ -120,13 +120,16 @@ class PointSet:
     _points: tuple | None = field(default=None, repr=False)
     _array: np.ndarray | None = field(default=None, repr=False)
     _plan: "_DifferencePlan | None" = field(default=None, repr=False)
+    # weak reference to the read-only rows of the latest identified census
+    # (directions.distinct_directions), which a signed census reuses
+    _census_rows: "weakref.ref | None" = field(default=None, repr=False)
 
     @classmethod
     def from_points(cls, raw_points: Iterable[Sequence], mode: str | None = None) -> "PointSet":
         """The set of the given coordinate tuples, checked by ``_from_scaled``.
         Exact input keeps its tuples as the ``points`` view: as given when
         every coordinate is exactly a Fraction, else through _as_fraction.
-        Bools are refused in every mode."""
+        Bools and strings are refused in every mode."""
         rows = [tuple(r) for r in raw_points]
         if not rows:
             raise PreconditionFailed("a point set needs at least one point")
@@ -136,17 +139,19 @@ class PointSet:
         for r in rows:
             if len(r) != dimension:
                 raise PreconditionFailed("all points must share one dimension")
-        if mode is None:
-            mode = infer_mode(c for r in rows for c in r)
-        elif mode not in ("exact", "float"):
+        if mode not in (None, "exact", "float"):
             raise PreconditionFailed(f"unknown mode {mode!r}")
         types = set(map(type, itertools.chain.from_iterable(rows)))
         if types & {bool, np.bool_}:
             raise MixedMode("bool is not a coordinate type")
+        if any(issubclass(t, str) for t in types):
+            raise MixedMode("unsupported coordinate type str")
+        if mode is None:
+            mode = infer_mode(c for r in rows for c in r)
         try:
             pts = (np.array(rows, dtype=np.float64) if mode == "float" else tuple(rows) if types == {Fraction} else
                    tuple(tuple(map(_as_fraction, r)) for r in rows))
-        except (TypeError, ValueError, OverflowError) as exc:  # strings, None; NaN and inf as exact
+        except (TypeError, ValueError, OverflowError) as exc:  # None and other objects; NaN and inf as exact
             raise PreconditionFailed(f"coordinates must be finite numbers: {exc}") from exc
         if mode == "float":
             return cls._from_scaled(pts, 1.0)
@@ -405,9 +410,14 @@ def _product_axes(arr: np.ndarray) -> list | None:
 
 def _cross_diff_histogram(v1: np.ndarray, v2: np.ndarray):
     """Sorted distinct differences a - b over distinct values a in v1, b in v2,
-    with their pair counts; memory scales with the distinct values, never
-    with the full pair count."""
-    return np.unique(np.subtract.outer(v1, v2), return_counts=True)
+    with their pair counts.  Runs of rows of v1, at most _PAIR_BLOCK
+    differences each, are counted by np.unique and folded by _fold_in, so
+    memory scales with the distinct differences plus one block, never with
+    the full pair count."""
+    rows, held = max(1, _PAIR_BLOCK // len(v2)), []
+    for i0 in range(0, len(v1), rows):
+        _fold_in(held, np.unique(np.subtract.outer(v1[i0:i0 + rows], v2), return_counts=True))
+    return _fold(held)
 
 
 def _pair_loop(arr: np.ndarray, weights: np.ndarray | None, other: np.ndarray | None = None,

@@ -242,8 +242,16 @@ def counting_pair_loop(mp):
     return calls
 
 
+def fresh_copy(P):
+    """A new set with P's stored rows: it shares no cached view, plan or
+    census with P, so a census of it walks its pairs."""
+    return PointSet._from_scaled(*P._scaled)
+
+
 def on_both_paths(fn, P):
-    """(fn(P) on a distinct-difference path, fn(P) on the pair loop).
+    """(fn on a distinct-difference path, fn on the pair loop), each run
+    on its own fresh_copy of P, so neither reuses a census that P or the
+    other run holds.
 
     The first run fails if the pair loop starts, the second if it never
     does.  A set whose distinct differences are not fewer than its pairs
@@ -253,12 +261,12 @@ def on_both_paths(fn, P):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_pair_loop", refuse_pair_loop)
         try:
-            product = fn(P)
+            product = fn(fresh_copy(P))
         except PairLoopCalled:
             assume(False)
     with pytest.MonkeyPatch.context() as mp:
         force_pair_loop(mp)
         calls = counting_pair_loop(mp)
-        pair = fn(P)
+        pair = fn(fresh_copy(P))
         assert calls, "the pair-loop run never walked its pairs"
     return product, pair

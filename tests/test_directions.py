@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     counting_pair_loop,
     force_pair_loop,
+    fresh_copy,
     key_to_oracle_form,
     min_pairwise_gap,
     on_both_paths,
@@ -1076,6 +1077,165 @@ class TestSignedByNegation:
         assert sum(grid.cells.values()) == grid.n_pairs == sum(blocks) * (1 if antipodal else 2)
 
 
+MEMO_SETS = {
+    "product": lambda: lattice_set(LatticeSpec(q=20, d=2)),  # 840 distinct differences
+    "grid": lambda: PointSet._from_scaled(*sierpinski(5)._scaled),
+    "pairs": lambda: PointSet.from_points(random_rational_points(random.Random(51), 60, 3, denom=13)),
+    "float": lambda: PointSet.from_points(np.random.default_rng(52).random((60, 3)).tolist(), mode="float"),
+}
+
+
+class TestSignedCensusMemo:
+    """A signed census reads the identified rows of its set through a weak
+    reference while an identified census of the set is alive; else it walks."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(MEMO_SETS))
+    def test_memo_equals_reference_and_walk(self, kind, workers, monkeypatch):
+        monkeypatch.setattr(geometry, "_WORKERS", workers)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 400)  # several blocks a walk
+        ps = MEMO_SETS[kind]()
+        assert ps._difference_plan().path == {"float": "pairs"}.get(kind, kind)
+        want = sorted(key.rep for key in reference_census.distinct_directions(ps, False).keys)
+        identified = distinct_directions(ps)
+        walks, pair_differences = [], geometry._pair_differences
+        monkeypatch.setattr(directions, "_pair_differences",
+                            lambda P, *args, **kwargs: walks.append(len(P)) or pair_differences(P, *args, **kwargs))
+        memo = distinct_directions(ps, False)
+        assert walks == []
+        walked = distinct_directions(fresh_copy(ps), False)
+        assert walks == [len(ps)]
+        assert memo.keys.rows.dtype == walked.keys.rows.dtype == identified.keys.rows.dtype
+        assert memo.keys.rows.tolist() == walked.keys.rows.tolist()
+        assert signed_rows(memo) == want
+        assert memo == walked and memo.count == 2 * identified.count
+        assert (memo.n_points, memo.n_pairs) == (len(ps), len(ps) * (len(ps) - 1))
+
+    def test_walks_again_once_the_identified_census_is_dropped(self, monkeypatch):
+        ps = MEMO_SETS["pairs"]()
+        calls = counting_pair_loop(monkeypatch)
+        identified = distinct_directions(ps)
+        assert calls == [60]
+        signed = [distinct_directions(ps, False) for _ in range(2)]
+        assert calls == [60] and signed[0] == signed[1]
+        del identified
+        assert ps._census_rows() is None  # the weak reference kept nothing alive
+        again = distinct_directions(ps, False)
+        assert calls == [60, 60] and again == signed[0]
+        identified = distinct_directions(ps)  # the newest identified census is the one read
+        distinct_directions(ps, False)
+        assert calls == [60, 60, 60] and ps._census_rows() is identified.keys.rows
+
+    def test_shared_rows_are_read_only(self):
+        ps = MEMO_SETS["product"]()
+        rows = distinct_directions(ps).keys.rows
+        assert ps._census_rows() is rows and not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            rows *= -1
+        signed = distinct_directions(ps, False).keys.rows
+        assert not np.shares_memory(signed, rows)
+        assert signed[len(rows):].tolist() == rows.tolist()
+
+    def test_identified_census_never_reads_the_memo(self, monkeypatch):
+        ps = MEMO_SETS["pairs"]()
+        calls = counting_pair_loop(monkeypatch)
+        first = distinct_directions(ps)
+        second = distinct_directions(ps)
+        assert calls == [60, 60] and first.keys.rows is not second.keys.rows and first == second
+
+
+@st.composite
+def threshold_deltas(draw):
+    """Separations: fixed and random floats down to the chart side's limit
+    2^-62 / 4, or a computed gap between two rows in d = 2..9 and one ulp
+    either side of it."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from((2.0**-64, 1e-9, 0.01, 0.1, 0.2, 0.25, 0.5, 1.0)) | st.floats(2.0**-64, 1.0))
+    d = draw(st.integers(2, 9))
+    coord = st.sampled_from((0.0, 0.125, -0.5, 1.0)) | st.floats(-1.0, 1.0)
+    a, b = (np.array(draw(st.lists(coord, min_size=d, max_size=d))) for _ in range(2))
+    gap = float(np.linalg.norm(a - b))
+    assume(gap >= 2.0**-64)
+    return draw(st.sampled_from((gap, float(np.nextafter(gap, 0.0)), float(np.nextafter(gap, 2.0)))))
+
+
+class TestSlabThreshold:
+    """_Slabs compares squared norms with the least float t whose root
+    reaches delta, which decides every float as comparing its root would."""
+
+    @given(threshold_deltas())
+    def test_threshold_splits_floats_as_their_roots(self, delta):
+        t = directions._sqrt_threshold(delta)
+        near = [t]
+        for side in (0.0, np.inf):
+            s = t
+            for _ in range(4):
+                s = float(np.nextafter(s, side))
+                near.append(s)
+        for s in near + [delta * delta, float(np.nextafter(delta * delta, 0.0)), float(np.nextafter(delta * delta, 1.0))]:
+            assert (np.sqrt(np.float64(s)) < delta) == (s < t) == (math.sqrt(s) < delta)
+        assert math.sqrt(t) >= delta > math.sqrt(float(np.nextafter(t, 0.0)))
+
+    @given(threshold_deltas(), st.data())
+    def test_block_decides_as_the_norm(self, delta, data):
+        d = data.draw(st.integers(2, 9))
+        coord = st.sampled_from((0.0, 0.125, -0.5)) | st.floats(-1.0, 1.0)
+        units = np.array(data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=20)))
+        slabs = directions._Slabs(units, delta)
+        for r in range(len(units)):
+            blocked = np.zeros(len(units), dtype=bool)
+            slabs.block(r, blocked)
+            lo, hi = slabs.lo[r], slabs.hi[r]
+            gaps = np.linalg.norm(slabs.units[lo:hi] - slabs.units[r], axis=1)
+            assert blocked[lo:hi].tolist() == (gaps < delta).tolist()
+            assert not blocked[:lo].any() and not blocked[hi:].any()
+
+
+def small_like_sets(seed, count):
+    """Sets like the small benchmark's: 5-40 points k/12 of the unit cube, d in {2, 3}."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.choice((2, 3))
+        cells = rng.sample(list(itertools.product(range(13), repeat=d)), rng.randint(5, 40))
+        yield PointSet.from_points([tuple(Fraction(k, 12) for k in cell) for cell in cells])
+
+
+def greedy_passes_without_skipping(census, subset):
+    """The greedy passes of a subset that ran every color class of every
+    pitch up to the one it used, and then the extension pass."""
+    keys = sorted(census.keys, key=lambda key: key.rep)
+    units = np.array([key.unit_vector() for key in keys])
+    pitch, passes = (units.shape[1] + 1) * subset.delta, 1
+    while pitch <= subset.pitch:
+        cells = set(reference_subset.chart_cells(units, pitch))
+        passes += len({tuple(v % 2 for v in cell[1:]) for cell in cells})
+        pitch *= 2
+    return passes
+
+
+class TestSubsetSkipsColorClasses:
+    """A color class with no more cells than the largest kept class cannot
+    win, so separated_subset runs no greedy for it."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_like_sets_match_reference_in_fewer_passes(self, d, monkeypatch):
+        ran, full = [], []
+        for ps in small_like_sets(90 + d, 120):
+            if ps.dimension != d:
+                continue
+            for antipodal in (True, False):
+                census = distinct_directions(ps, antipodal)
+                with pytest.MonkeyPatch.context() as mp:
+                    got, kept_per_pass = subset_checking_every_greedy(mp, census, 0.2)
+                assert got == reference_subset.separated_subset(census, 0.2)
+                ran.append(len(kept_per_pass))
+                full.append(greedy_passes_without_skipping(census, got))
+        assert len(ran) > 50 and all(r <= f for r, f in zip(ran, full))
+        assert sum(ran) < sum(full)
+
+
 class TestFloatChartRefusals:
     """Exact sets chart their float64 view; a norm of 0 or inf is refused."""
 
@@ -1403,8 +1563,14 @@ class TestGridPath:
         # 243 points on the 32 x 32 grid: 29,403 pairs, a 63 x 63 box; a
         # fresh copy, since a failed FFT turns its set's plan to the pair loop
         ps = PointSet._from_scaled(*sierpinski(5)._scaled)
-        want = ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
-                [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
+
+        def run():
+            # each census is a list of rows once made, so none is alive when
+            # the signed one is asked for and both walk the differences
+            return ([distinct_directions(ps, antipodal).keys.rows.tolist() for antipodal in (True, False)],
+                    [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
+
+        want = run()
         irfftn = np.fft.irfftn
 
         def faulty(*args, **kwargs):
@@ -1419,11 +1585,9 @@ class TestGridPath:
         monkeypatch.setattr(np.fft, "irfftn", faulty)
         calls = counting_pair_loop(monkeypatch)
         assert geometry._grid_differences(ps._scaled[0], [31, 31]) is None
-        got = ([distinct_directions(ps, antipodal) for antipodal in (True, False)],
-               [g.cells for g in sphere_coverage_sweep(ps, [0.05, 0.01], False)])
+        got = run()
         assert calls == [243] * 3
-        assert [c.keys.rows.tolist() for c in got[0]] == [c.keys.rows.tolist() for c in want[0]]
-        assert got[1] == want[1]
+        assert got == want
 
 
 class TestDifferencePlan:
@@ -1501,6 +1665,7 @@ class TestDifferencePlan:
         assert ffts == [243] and calls == [243]
         assert (ps._difference_plan().path, ps._difference_plan().count) == ("pairs", 243 * 242 // 2)
         assert got.keys.rows.tolist() == want.keys.rows.tolist()
+        del got  # so the signed census walks its pairs
         distinct_directions(ps, False)
         sphere_coverage_sweep(ps, [0.05])  # a power-of-two denominator: the grid path, had the FFT held
         assert ffts == [243] and calls == [243] * 3
@@ -1511,7 +1676,12 @@ class TestDifferencePlan:
         assert plan.path == "product"  # planned before either run
         calls = counting_pair_loop(monkeypatch)
         product, pair = on_both_paths(lambda P: [distinct_directions(P, a) for a in (True, False)], ps)
-        assert calls == [16, 16] and product == pair
+        # one walk: the pair run's signed census reads the identified rows it holds
+        assert calls == [16] and product == pair
+        with pytest.MonkeyPatch.context() as mp:
+            force_pair_loop(mp)
+            assert distinct_directions(ps).keys.rows.tolist() == product[0].keys.rows.tolist()
+        assert calls == [16, 16]
         assert ps._difference_plan() is plan and plan.path == "product"
         with pytest.MonkeyPatch.context() as mp:
             steer_plans(mp, ("grid", "pairs"))

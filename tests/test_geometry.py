@@ -296,13 +296,19 @@ class TestPointSet:
 
     @pytest.mark.parametrize(
         "bad, mode",
-        [(math.nan, None), (math.inf, None), (-math.inf, None), (1e300, None), (math.nan, "exact"), (math.inf, "exact"),
-         ("abc", "exact"), ("abc", "float")],
+        [(math.nan, None), (math.inf, None), (-math.inf, None), (1e300, None), (math.nan, "exact"), (math.inf, "exact")],
     )
     def test_bad_coordinates_rejected(self, bad, mode):
         # 1e300 lies past the float limit 2^500, where squared differences overflow
         with pytest.raises(PreconditionFailed, match="finite"):
             PointSet.from_points([(bad, 0.0), (2.0, 0.0)], mode=mode)
+
+    @pytest.mark.parametrize("text", ["abc", "1/2", "1.5", np.str_("3")])
+    @pytest.mark.parametrize("mode", [None, "exact", "float"])
+    def test_str_coordinates_rejected(self, text, mode):
+        # exact mode once read "1/2" through Fraction(str), float mode "1.5" through numpy
+        with pytest.raises(MixedMode, match="^unsupported coordinate type str$"):
+            PointSet.from_points([(text, 0), (1, Fraction(3, 4))], mode=mode)
 
     def test_float_coordinates_from_2_to_the_500_rejected(self):
         # squared differences of 1e200 overflowed: one census key, coverage {0: 3}, energy 0.0
@@ -1077,3 +1083,49 @@ class TestPairBlocksAgainstReference:
         assert sum(len(diffs) for diffs, _ in blocks) == 20 * 19 // 2
         # rows per block = 40 // 20 = 2, so block i0 subtracts against the 19 - i0 rows after i0
         assert [shape[1] for shape in seen] == [19 - i0 for i0 in range(0, 19, 2) for _ in range(3)]
+
+
+@st.composite
+def histogram_axes(draw):
+    """Two distinct-valued axes as int64, float64 (k / 7) or Python ints
+    past int64, and a block size from one difference to the whole outer."""
+    kind = draw(st.sampled_from(("int64", "float", "object")))
+    v1, v2 = (sorted(draw(st.lists(st.integers(-40, 40), min_size=1, max_size=50, unique=True))) for _ in range(2))
+    block = draw(st.integers(1, len(v1) * len(v2) + 5))
+    if kind == "float":
+        return np.array(v1) / 7, np.array(v2) / 7, block
+    if kind == "object":
+        return (np.array([k << 70 for k in v1], dtype=object), np.array([k << 70 for k in v2], dtype=object),
+                block)
+    return np.array(v1, dtype=np.int64), np.array(v2, dtype=np.int64), block
+
+
+class TestCrossDiffHistogram:
+    """The cross-difference histogram in row blocks of at most _PAIR_BLOCK
+    differences against np.unique of the whole outer difference."""
+
+    @given(histogram_axes())
+    def test_equals_the_outer_form(self, case):
+        v1, v2, block = case
+        want_values, want_counts = np.unique(np.subtract.outer(v1, v2), return_counts=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_PAIR_BLOCK", block)
+            values, counts = geometry._cross_diff_histogram(v1, v2)
+        assert values.dtype == want_values.dtype and counts.dtype == want_counts.dtype
+        assert values.tolist() == want_values.tolist() and counts.tolist() == want_counts.tolist()
+
+    def test_line_of_3000_points_plans_in_bounded_memory(self):
+        import tracemalloc
+
+        line = PointSet.from_points([(k, 0) for k in range(3000)])  # 4,498,500 pairs
+        tracemalloc.start()
+        try:
+            plan = line._difference_plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole outer difference of the axis alone is 72 MB
+        assert peak < 8 << 20
+        values, counts = geometry._cross_diff_histogram(*plan.axes[:1] * 2)
+        assert plan.path == "product" and values.tolist() == list(range(-2999, 3000))
+        assert counts.tolist() == [3000 - abs(v) for v in range(-2999, 3000)]
