@@ -84,8 +84,14 @@ def _fits(denom, lo, hi) -> bool:
 def _over_lcm(nums: Sequence, dens: Sequence) -> tuple[np.ndarray, int]:
     """Rationals nums[i] / dens[i], each in lowest terms, as integers over
     the lcm of their denominators: int64 within the bounds of
-    PointSet.scaled_integer(), Python ints (object) past them."""
-    denom = math.lcm(*set(dens))
+    PointSet.scaled_integer(), Python ints (object) past them.  Parts that
+    are not Python ints (a Fraction may hold numpy integers, whose products
+    wrap in int64) are read through int() first."""
+    distinct = set(dens)
+    if {*map(type, nums), *map(type, distinct)} != {int}:
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+        distinct = set(dens)
+    denom = math.lcm(*distinct)
     ints = list(map(operator.mul, nums, map(operator.floordiv, itertools.repeat(denom), dens)))
     fits = _fits(denom, min(ints, default=0), max(ints, default=0))
     return np.array(ints, dtype=np.int64 if fits else object), denom
@@ -273,17 +279,12 @@ class PointSet:
         if self._plan is None:
             rows, n = self._scaled[0], len(self)
             pairs, axes, span = n * (n - 1) // 2, _product_axes(rows), None
-            # an axis of m values has at most m(m - 1) + 1 differences: below
-            # the pairs whenever two axes hold several values; else count them
-            distinct = math.prod(len(a) * (len(a) - 1) + 1 for a in axes) // 2 if axes else pairs
-            if axes and distinct >= pairs:
-                distinct = math.prod(len(_cross_diff_histogram(a, a)[0]) for a in axes) // 2
             if rows.dtype == np.int64:
                 span = np.ptp(rows, axis=0).tolist()
                 cells = math.prod(2 * s + 1 for s in span)
                 span = span if cells <= _GRID_CELL_LIMIT and pairs > _GRID_PAIRS_PER_CELL * cells else None
-            path, count = ("product", None) if distinct < pairs else ("grid", None) if span else ("pairs", pairs)
-            self._plan = _DifferencePlan(path, count, axes, span)
+            path = "product" if axes else "grid" if span else "pairs"
+            self._plan = _DifferencePlan(path, axes, span)
         return self._plan
 
 
@@ -546,17 +547,13 @@ def _grid_differences(rows: np.ndarray, span: list, denom=None) -> _Blocks | Non
 @dataclass
 class _DifferencePlan:
     """The path _pair_differences takes for a set's unweighted pairs: the
-    product path on a product support with fewer distinct differences than
-    pairs, else the grid path when int64 rows pass the grid gate, else the
-    pair loop.  count is the differences its blocks hold: the n(n-1)/2 pairs
-    on the pair loop; the distinct ones on the other paths, once a walk of
-    the row differences has counted them (None before).  axes (each column's
-    sorted distinct values) are kept whenever the rows are their Cartesian
-    product, and span (each axis's span) whenever they pass the gate,
-    whatever the path."""
+    product path whenever the rows are the Cartesian product of axes (each
+    column's sorted distinct values), else the grid path when int64 rows
+    pass the grid gate, else the pair loop.  The blocks of the path taken
+    count its differences (_Blocks.pairs).  span (each axis's span) is kept
+    whenever the rows pass the gate, whatever the path."""
 
     path: str
-    count: int | None
     axes: list | None
     span: list | None
 
@@ -579,32 +576,26 @@ def _pair_differences(P: PointSet, weights: np.ndarray | None = None, floats: bo
     weights[x] * weights[y].  Unweighted, P's plan may give each distinct
     difference once, first nonzero entry positive, with its pair count (and
     ``pairs`` counts them): on the product path, floats from the histograms
-    of _float_axes while those too are fewer than the pairs; on the grid
-    path, unless the caller refuses it (grid), floats only over int64 rows
-    and a power-of-two denominator, the only ones over which every float
-    difference is the row difference over the denominator bit for bit.  A
-    failed FFT turns the plan to the pair loop.  Rows are bit-identical on
-    every path, and every block is an (m, d) view with contiguous columns.
+    of _float_axes unless two values of an axis meet in float64; on the
+    grid path, unless the caller refuses it (grid), floats only over int64
+    rows and a power-of-two denominator, the only ones over which every
+    float difference is the row difference over the denominator bit for
+    bit.  A failed FFT turns the plan to the pair loop.  Rows are
+    bit-identical on every path, and every block is an (m, d) view with
+    contiguous columns.
     """
     rows, denom = P._scaled
-    arr, n = P.as_array() if floats else rows, len(rows)
     over = denom if floats and P.mode == "exact" else None  # the D floats divide by
-    same_bits = over is None or (rows.dtype == np.int64 and not over & (over - 1))
     plan, blocks = P._difference_plan() if weights is None else None, None
     path = plan and plan.path
     if path == "product":
-        hists = [_cross_diff_histogram(a, a) for a in (_float_axes(P) if floats else plan.axes) or []]
-        if hists and math.prod(len(v) for v, _ in hists) // 2 < n * (n - 1) // 2:
-            blocks = _product_differences(hists)
-    elif path == "grid" and grid and same_bits:
+        axes = _float_axes(P) if floats else plan.axes
+        blocks = axes and _product_differences([_cross_diff_histogram(a, a) for a in axes])
+    elif path == "grid" and grid and (over is None or (rows.dtype == np.int64 and not over & (over - 1))):
         blocks = _grid_differences(rows, plan.span, over)
         if blocks is None:
-            plan.path, plan.count = "pairs", n * (n - 1) // 2
-    if blocks is None:
-        return _pair_loop(arr, weights)
-    if same_bits:
-        plan.count = blocks.pairs
-    return blocks
+            plan.path = "pairs"
+    return _pair_loop(P.as_array() if floats else rows, weights) if blocks is None else blocks
 
 
 def _grouped_sum(keys: np.ndarray, values: np.ndarray):

@@ -562,24 +562,18 @@ def _interval_counts(values, prefix, lo, hi):
 _EINSUM = {1: "a,aj->j", 2: "a,aj,ak->jk", 3: "a,aj,ak,al->jkl"}
 
 
-def _window_masses_product(mu1, mu2, windows) -> list | None:
+def _window_masses_product(axes1: list, axes2: list, w: float, windows) -> list:
     """Pair mass per window cell, one array per window (lo, hi), for uniform
-    masses on product supports; None for any other pair of measures.
+    masses on product supports with float axes axes1 and axes2 (_float_axes)
+    and pair weight w.
 
     On a product support a pair count factors over axes into per-axis
-    value-pair counts, so histograms run on the distinct axis values of the
-    supports' difference plans (_float_axes), never the full columns.  The
-    last-axis denominator histogram and the per-axis pair tables (sorted
-    distinct cross differences, cumulative pair counts) are built once for
-    every window.  The work per window is bounded by the distinct last-axis
-    cross differences, which never outnumber the pairs."""
-    if not (mu1.uniform and mu2.uniform):
-        return None
-    axes1, axes2 = (_float_axes(mu.base) for mu in (mu1, mu2))
-    if axes1 is None or axes2 is None:
-        return None
+    value-pair counts, so histograms run on the distinct axis values, never
+    the full columns.  The last-axis denominator histogram and the per-axis
+    pair tables (sorted distinct cross differences, cumulative pair counts)
+    are built once for every window.  The work per window is bounded by the
+    distinct last-axis cross differences, which never outnumber the pairs."""
     d = len(axes1)
-    w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
     den_vals, den_counts = _cross_diff_histogram(axes1[-1], axes2[-1])
     tables = [(values, np.concatenate([[0.0], np.cumsum(counts)]))
               for values, counts in map(_cross_diff_histogram, axes1[:-1], axes2[:-1])]
@@ -712,32 +706,30 @@ def _window_masses_scan(mu1, mu2, windows) -> list:
     return [total.reshape((g,) * (d - 1)) for total, g in zip(totals, grids)]
 
 
-def _window_masses(mu1, mu2, windows) -> list:
-    """Pair mass per window cell for each window (lo, hi), by one plan: the
-    product path when it applies, else the scan.  A window's masses are
-    those it gets planned alone."""
-    masses = _window_masses_product(mu1, mu2, windows)
-    return _window_masses_scan(mu1, mu2, windows) if masses is None else masses
+def _window_masses(mu1: WeightedPointSet, mu2: WeightedPointSet, windows) -> tuple[float, list]:
+    """The least gap between the two supports' final coordinates, and the
+    pair mass per window cell for each window (lo, hi), by one plan.
 
-
-def _check_slope_inputs(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
-    """The least gap between the two supports' final coordinates, refused
-    unless positive, for measures of one dimension from 2 through 4.  When
-    both measures are uniform, the window's product condition, a support
-    on a product reads its final coordinates' distinct values from its
-    difference plan's axes (_float_axes), which the window builds anyway."""
+    The measures must share one dimension from 2 through 4, and the gap be
+    positive.  When both are uniform, each support's float axes
+    (_float_axes) are read once: a support on a product takes its final
+    coordinates' distinct values from them, and when both are products the
+    product path runs on them; else the scan.  A window's masses are those
+    it gets planned alone."""
     if mu1.base.dimension != mu2.base.dimension:
         raise PreconditionFailed("both measures must share one dimension")
     if mu1.base.dimension - 1 not in _EINSUM:
         raise PreconditionFailed("slope densities support dimensions 2 through 4")
-    finals = [axes[-1] if axes else mu.base.as_array()[:, -1]
-              for mu in (mu1, mu2) for axes in [mu1.uniform and mu2.uniform and _float_axes(mu.base)]]
-    gap = _min_cross_gap(*finals)
+    axes = [mu1.uniform and mu2.uniform and _float_axes(mu.base) for mu in (mu1, mu2)]
+    gap = _min_cross_gap(*(a[-1] if a else mu.base.as_array()[:, -1] for mu, a in zip((mu1, mu2), axes)))
     if gap <= 0:
         raise PreconditionFailed(
             "supports share a final coordinate; relabel the separated coordinate last"
         )
-    return gap
+    if all(axes):
+        w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
+        return gap, _window_masses_product(*axes, w, windows)
+    return gap, _window_masses_scan(mu1, mu2, windows)
 
 
 def _slope_grid(eps, pitch, d: int) -> tuple[float, np.ndarray]:
@@ -784,8 +776,7 @@ def slope_density(
     d = mu1.base.dimension
     eps = float(eps)
     pitch, centers = _slope_grid(eps, pitch, d)
-    gap = _check_slope_inputs(mu1, mu2)
-    (mass,) = _window_masses(mu1, mu2, [(centers - eps, centers + eps)])
+    gap, (mass,) = _window_masses(mu1, mu2, [(centers - eps, centers + eps)])
     values, integral = _density(mass, eps, pitch)
     return SlopeDensityField(
         dimension=d,
@@ -804,8 +795,7 @@ _CHART = (np.array([0.5]), np.array([1.0]))
 
 def slope_chart_pair_mass(mu1: WeightedPointSet, mu2: WeightedPointSet) -> float:
     """Mass of support pairs whose slope vector lies in [1/2,1]^(d-1)."""
-    _check_slope_inputs(mu1, mu2)
-    (mass,) = _window_masses(mu1, mu2, [_CHART])
+    _, (mass,) = _window_masses(mu1, mu2, [_CHART])
     return float(mass.reshape(-1)[0])
 
 
@@ -855,12 +845,11 @@ def slope_band_sweep(
         c = 4.0**-d
     split = stopping_time_split(mu, c=c, max_depth=max_depth)
     upper, lower = orient_split_for_slopes(split)
-    gap = _check_slope_inputs(upper, lower)
     try:
         grids = [(eps, *_slope_grid(eps, eps / 2, d)) for eps in eps_values]
-    except DirlabError as exc:  # raised after the chart-mass refusal below
+    except DirlabError as exc:  # raised after the input and chart-mass refusals below
         grids, refusal = [], exc
-    chart, *masses = _window_masses(
+    gap, (chart, *masses) = _window_masses(
         upper, lower, [_CHART] + [(centers - eps, centers + eps) for eps, _, centers in grids]
     )
     chart_mass = float(chart.reshape(-1)[0])

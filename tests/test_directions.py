@@ -1598,29 +1598,63 @@ class TestDifferencePlan:
     def test_lattice_plans_product(self):
         ps = lattice_set(LatticeSpec(q=8, d=3))  # 729 points, 265,356 pairs
         plan = ps._difference_plan()
-        assert (plan.path, plan.count) == ("product", None)
+        assert plan.path == "product"
         assert [a.tolist() for a in plan.axes] == [list(range(9))] * 3
         assert plan.span == [8, 8, 8]  # the grid gate passes too, but the product path comes first
         distinct_directions(ps)
-        assert ps._difference_plan() is plan and plan.count == (17**3 - 1) // 2
-        # on an axis-parallel line the bound on distinct differences meets the
-        # pairs, so they are counted: 9 of 45, but 6 of 6 on the Sidon set 0, 1, 3, 7
+        assert ps._difference_plan() is plan and geometry._pair_differences(ps).pairs == (17**3 - 1) // 2
+        # every product support plans the product path, lines too: 9 distinct
+        # differences of 45 pairs, and 6 of 6 on the Sidon set 0, 1, 3, 7
         line = PointSet.from_points([(k, 0) for k in range(10)])
         sidon = PointSet.from_points([(k, 0) for k in (0, 1, 3, 7)])
-        assert [line._difference_plan().path, sidon._difference_plan().path] == ["product", "pairs"]
+        assert [line._difference_plan().path, sidon._difference_plan().path] == ["product", "product"]
+        assert [geometry._pair_differences(P).pairs for P in (line, sidon)] == [9, 6]
 
     def test_sierpinski_depth_7_plans_grid(self):
         ps = PointSet._from_scaled(*sierpinski(7)._scaled)  # a fresh copy, planned here
         plan = ps._difference_plan()
-        assert (plan.path, plan.count, plan.axes, plan.span) == ("grid", None, None, [127, 127])
+        assert (plan.path, plan.axes, plan.span) == ("grid", None, [127, 127])
         assert distinct_directions(ps).count == 14_874
-        assert (plan.path, plan.count) == ("grid", 24_384)
+        assert plan.path == "grid" and geometry._pair_differences(ps).pairs == 24_384
+
+    def test_line_plans_without_a_histogram(self, monkeypatch):
+        calls, histogram = [], geometry._cross_diff_histogram
+        monkeypatch.setattr(geometry, "_cross_diff_histogram",
+                            lambda *args: calls.append(len(args[0])) or histogram(*args))
+        line = PointSet.from_points([(k, 0) for k in range(10_000)])  # 49,995,000 pairs
+        plan = line._difference_plan()
+        assert plan.path == "product" and [len(a) for a in plan.axes] == [10_000, 1]
+        assert calls == []  # the product test alone decides the path
+        assert [len(a) for a in geometry._float_axes(line)] == [10_000, 1] and calls == []
+
+    def test_sidon_line_plans_product_on_both_paths(self):
+        # 0, 1, 3, 7: all six differences distinct, as many as the pairs
+        ps = PointSet.from_points([(k, 0) for k in (0, 1, 3, 7)])
+        assert ps._difference_plan().path == "product" and geometry._pair_differences(ps).pairs == 6
+        pitches = [0.05, 5e-4]
+
+        def kernels(P):
+            # each census a set of keys once made, so the signed one walks too
+            return ([set(distinct_directions(P, antipodal).keys) for antipodal in (True, False)],
+                    [[g.cells for g in sphere_coverage_sweep(P, pitches, antipodal)] for antipodal in (True, False)],
+                    energy_integral(uniform_weights(P), 2))
+
+        product, pair = on_both_paths(kernels, ps)
+        assert product == pair
+        for antipodal, keys, grids in zip((True, False), *product[:2]):
+            assert keys == reference_census.distinct_directions(ps, antipodal).keys
+            assert grids == [oracle_coverage(ps, eps, antipodal) for eps in pitches]
+        mu = uniform_weights(ps)
+        assert type(product[2]) is Fraction and product[2] == reference_pairs.energy_integral(mu, 2)
+        # the float energy sums in the product path's order, as reference_pairs does
+        assert energy_integral(mu, 1.5) == reference_pairs.energy_integral(mu, 1.5)
 
     def test_float_sets_and_weighted_measures_walk_pairs(self, monkeypatch):
         rng = np.random.default_rng(17)
         floats = PointSet.from_points(rng.random((50, 3)).tolist(), mode="float")
         plan = floats._difference_plan()
-        assert (plan.path, plan.count, plan.axes, plan.span) == ("pairs", 1225, None, None)
+        assert (plan.path, plan.axes, plan.span) == ("pairs", None, None)
+        assert geometry._pair_differences(floats).pairs == 1225
         lattice = lattice_set(LatticeSpec(q=3, d=2))
         assert lattice._difference_plan().path == "product"
         units = rng.integers(1, 5, size=len(lattice)).tolist()
@@ -1663,12 +1697,13 @@ class TestDifferencePlan:
         calls = counting_pair_loop(monkeypatch)
         got = distinct_directions(ps)
         assert ffts == [243] and calls == [243]
-        assert (ps._difference_plan().path, ps._difference_plan().count) == ("pairs", 243 * 242 // 2)
+        assert ps._difference_plan().path == "pairs"
         assert got.keys.rows.tolist() == want.keys.rows.tolist()
         del got  # so the signed census walks its pairs
         distinct_directions(ps, False)
         sphere_coverage_sweep(ps, [0.05])  # a power-of-two denominator: the grid path, had the FFT held
         assert ffts == [243] and calls == [243] * 3
+        assert geometry._pair_differences(ps).pairs == 243 * 242 // 2 and ffts == [243]
 
     def test_steering_walks_pairs_and_keeps_the_cached_plan(self, monkeypatch):
         ps = lattice_set(LatticeSpec(q=3, d=2))

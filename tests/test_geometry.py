@@ -1,6 +1,7 @@
 """Direction keys, slope vectors, affine rank, point sets, and files."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -879,6 +880,19 @@ class TestConstructorsAgainstReference:
         assert {type(v) for v in rows.ravel()} == {int}
         assert {type(c.numerator) for p in ps.points for c in p} == {int}
 
+    @pytest.mark.parametrize("first", [Fraction(np.int64(3)), Fraction(np.int64(3), np.int64(7))])
+    def test_fractions_of_numpy_integers_enter_as_ints(self, first):
+        # products with numpy parts stay in int64: 3 * 2^62 overflows it, and
+        # the denominator 7 * 2^62 does not fit it
+        plain = Fraction(int(first.numerator), int(first.denominator))
+        assert type(first.numerator) is np.int64 and type(plain.numerator) is int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = PointSet.from_points([(first, Fraction(1, 1 << 62)), (0, 0)], mode="exact")
+        want = PointSet.from_points([(plain, Fraction(1, 1 << 62)), (0, 0)], mode="exact")
+        assert got == want and got._scaled[1] == want._scaled[1] and got._scaled[0].dtype == object
+        assert {type(v) for v in got._scaled[0].ravel()} == {int}
+
     @pytest.mark.parametrize("points", [
         [(Fraction(1, 2), 1), (np.int64(3), Halves(1, 2)), (Fraction(1, 2), Fraction(1))],
         [(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 6), Fraction(4, 6))],
@@ -1121,11 +1135,12 @@ class TestCrossDiffHistogram:
         tracemalloc.start()
         try:
             plan = line._difference_plan()
+            census = distinct_directions(line)  # the histograms are built here, not by the plan
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the whole outer difference of the axis alone is 72 MB
-        assert peak < 8 << 20
+        assert peak < 8 << 20 and census.count == 1
         values, counts = geometry._cross_diff_histogram(*plan.axes[:1] * 2)
         assert plan.path == "product" and values.tolist() == list(range(-2999, 3000))
         assert counts.tolist() == [3000 - abs(v) for v in range(-2999, 3000)]

@@ -1151,6 +1151,15 @@ def separated_product_pairs(draw):
     return support(1, den), support(-den, 0), dyadic
 
 
+def product_window(mu1, mu2, windows):
+    """_window_masses_product on two uniform measures on product supports,
+    from the float axes and pair weight that _window_masses reads."""
+    axes = [geometry._float_axes(mu.base) for mu in (mu1, mu2)]
+    assert mu1.uniform and mu2.uniform and None not in axes
+    w = float(mu1.mass_array()[0]) * float(mu2.mass_array()[0])
+    return measure._window_masses_product(*axes, w, windows)
+
+
 class TestWindowPaths:
     """The product window against the scan window it replaces."""
 
@@ -1158,10 +1167,8 @@ class TestWindowPaths:
     def test_product_matches_scan(self, pair, g, eps):
         mu1, mu2, dyadic = pair
         centers = -1 + (np.arange(g) + 0.5) * (2 / g)
-        product = measure._window_masses_product(mu1, mu2, [(centers - eps, centers + eps)])
+        (product,) = product_window(mu1, mu2, [(centers - eps, centers + eps)])
         (scan,) = measure._window_masses_scan(mu1, mu2, [(centers - eps, centers + eps)])
-        assert product is not None
-        (product,) = product
         if dyadic:
             assert product.tolist() == scan.tolist()
         else:
@@ -1247,7 +1254,7 @@ class TestWindowPlan:
     @given(data=st.data())
     def test_each_window_as_planned_alone(self, path, workers, data):
         mu1, mu2, windows = data.draw(window_plans(path))
-        plan = {"product": measure._window_masses_product, "scan": measure._window_masses_scan}[path]
+        plan = {"product": product_window, "scan": measure._window_masses_scan}[path]
         with pytest.MonkeyPatch.context() as mp:
             for module in (geometry, measure):
                 mp.setattr(module, "_PAIR_BLOCK", 40)  # many blocks, and threads past 40 pairs
@@ -1269,6 +1276,15 @@ class TestWindowPlan:
         monkeypatch.setattr(measure, "_pair_loop", None)  # the product path walks no pairs
         report = slope_band_sweep(cantor_measure(3), CANTOR_S, [1 / 8, 1 / 16, 1 / 32])
         assert len(gaps) == 1 and len(axes) == 2 and len(report.integrals) == 3
+
+    def test_each_window_call_reads_the_axes_once(self, monkeypatch):
+        axes = self.count(monkeypatch, "_float_axes")
+        upper, lower = orient_split_for_slopes(stopping_time_split(cantor_measure(4), c=Fraction(1, 16)))
+        slope_density(upper, lower, eps=1 / 8)
+        slope_chart_pair_mass(upper, lower)
+        assert [len(P) for P, in axes] == [729] * 4  # each piece once a call
+        report = slope_band_sweep(cantor_measure(4), CANTOR_S, [2.0**-k for k in range(3, 7)])
+        assert len(report.integrals) == 4 and len(axes) == 6  # the two pieces, once for the whole sweep
 
     def test_scan_sweep_walks_the_cross_pairs_once(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -1318,13 +1334,14 @@ class TestScaledWindowAndGap:
     def test_gap_from_axes_matches_the_columns(self, pair):
         mu1, mu2, _ = pair
         want = measure._min_cross_gap(mu1.base.as_array()[:, -1], mu2.base.as_array()[:, -1])
-        assert measure._check_slope_inputs(mu1, mu2).hex() == want.hex()
+        gap, _ = measure._window_masses(mu1, mu2, [measure._CHART])
+        assert gap.hex() == want.hex()
 
     def test_cantor_gap_reads_the_axes(self, monkeypatch):
         upper, lower = orient_split_for_slopes(stopping_time_split(cantor_measure(4), c=Fraction(1, 16)))
         want = measure._min_cross_gap(upper.base.as_array()[:, -1], lower.base.as_array()[:, -1])
         sizes = TestWindowPlan.count(monkeypatch, "_min_cross_gap")
-        assert measure._check_slope_inputs(upper, lower) == want
+        assert measure._window_masses(upper, lower, [measure._CHART])[0] == want
         assert len(upper) == len(lower) == 729
         assert [tuple(map(len, args)) for args in sizes] == [(27, 27)]  # 27 final values a piece
 
@@ -1473,9 +1490,9 @@ class TestWindowAgainstReference:
         field = slope_density(mu1, mu2, eps=1 / 16, pitch=1 / 32)
         np.testing.assert_allclose(field.values * (1 / 16) ** 2, want, rtol=1e-12, atol=0)
         with pytest.raises(AssertionError, match="expanded"):
-            measure._window_masses_product(uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
-                                           uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
-                                           [(centers - 1 / 16, centers + 1 / 16)])
+            product_window(uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                           uniform_weights(lattice_set(LatticeSpec(q=2, d=3))),
+                           [(centers - 1 / 16, centers + 1 / 16)])
 
 
 class TestSlopeBandSweep:
